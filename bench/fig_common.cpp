@@ -1,11 +1,12 @@
 #include "bench/fig_common.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <utility>
 
 #include "common/env.hpp"
-#include "common/stats.hpp"
 #include "runtime/runtime.hpp"
 
 namespace ats::bench {
@@ -54,6 +55,23 @@ std::vector<std::size_t> selectSizes(std::vector<std::size_t> sizes,
   return out;
 }
 
+/// One point of a curve: its throughput over the repetitions.
+struct Point {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Point summarize(std::vector<double> samples) {
+  if (samples.empty()) return {};
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  const double median = n % 2 == 1
+                            ? samples[n / 2]
+                            : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+  return {median, samples.front(), samples.back()};
+}
+
 }  // namespace
 
 void runFigure(const std::string& figure, MachinePreset preset,
@@ -65,22 +83,24 @@ void runFigure(const std::string& figure, MachinePreset preset,
               figure.c_str(), presetName(preset), cfg.topo.numCpus,
               cfg.topo.numNumaDomains, cfg.reps,
               cfg.scale == AppScale::Full ? "full" : "quick");
-  std::printf("# efficiency = 100 * throughput / peak-throughput-per-app "
-              "(paper §6.2); higher is better\n\n");
+  std::printf("# efficiency = 100 * throughput / peak-median-throughput-"
+              "per-app (paper §6.2); higher is better\n");
+  std::printf("# cell = median [min,max] over reps; `overlap` names the "
+              "variant pairs whose ranges overlap at that point\n\n");
 
   for (const std::string& appName : apps) {
     auto app = makeApp(appName, cfg.scale);
     const auto sizes = selectSizes(app->defaultBlockSizes(), cfg.maxPoints);
 
-    // grid[v][s] = mean throughput of variant v at size s.
-    std::vector<std::vector<double>> grid(variants.size());
+    // grid[v][s] = throughput of variant v at size s.
+    std::vector<std::vector<Point>> grid(variants.size());
     std::vector<double> grains(sizes.size(), 0.0);
     double peak = 0.0;
 
     for (std::size_t v = 0; v < variants.size(); ++v) {
       Runtime rt(variants[v].make(cfg.topo));
       for (std::size_t s = 0; s < sizes.size(); ++s) {
-        RunningStats stats;
+        std::vector<double> samples;
         for (std::size_t rep = 0; rep < cfg.reps; ++rep) {
           const AppResult r = app->run(rt, sizes[s]);
           if (!r.verified) {
@@ -91,23 +111,40 @@ void runFigure(const std::string& figure, MachinePreset preset,
                          sizes[s], r.checksum);
             std::exit(1);
           }
-          stats.add(r.throughput());
+          samples.push_back(r.throughput());
           grains[s] = r.grainWorkUnits();
         }
-        grid[v].push_back(stats.mean());
-        peak = std::max(peak, stats.mean());
+        grid[v].push_back(summarize(std::move(samples)));
+        peak = std::max(peak, grid[v].back().median);
       }
     }
 
+    const auto eff = [peak](double throughput) {
+      return peak > 0 ? 100.0 * throughput / peak : 0.0;
+    };
     std::printf("# %s %s\n", figure.c_str(), appName.c_str());
     std::printf("%-18s", "grain_work_units");
-    for (const Variant& v : variants) std::printf("  %-18s", v.label.c_str());
-    std::printf("\n");
+    for (const Variant& v : variants) std::printf("  %-19s", v.label.c_str());
+    std::printf("  overlap\n");
     for (std::size_t s = 0; s < sizes.size(); ++s) {
       std::printf("%-18.3g", grains[s]);
-      for (std::size_t v = 0; v < variants.size(); ++v)
-        std::printf("  %-18.1f", peak > 0 ? 100.0 * grid[v][s] / peak : 0.0);
-      std::printf("\n");
+      for (std::size_t v = 0; v < variants.size(); ++v) {
+        const Point& p = grid[v][s];
+        std::printf("  %5.1f [%5.1f,%5.1f]", eff(p.median), eff(p.min),
+                    eff(p.max));
+      }
+      std::string overlap;
+      for (std::size_t a = 0; a < variants.size(); ++a) {
+        for (std::size_t b = a + 1; b < variants.size(); ++b) {
+          const Point& pa = grid[a][s];
+          const Point& pb = grid[b][s];
+          if (pa.min <= pb.max && pb.min <= pa.max) {
+            if (!overlap.empty()) overlap += ',';
+            overlap += variants[a].label + '~' + variants[b].label;
+          }
+        }
+      }
+      std::printf("  %s\n", overlap.empty() ? "-" : overlap.c_str());
     }
     std::printf("\n");
   }

@@ -43,12 +43,14 @@ SweepConfig resolveSweepConfig(MachinePreset preset);
 
 /// Run one paper figure: for each app, sweep block sizes on every
 /// variant, compute the paper's efficiency metric (percent of the peak
-/// performance observed across the app's whole grid), and print one table
-/// per app:
+/// median throughput observed across the app's whole grid), and print
+/// one table per app.  Each cell is the median efficiency over reps with
+/// its [min, max]; the last column names the variant pairs whose ranges
+/// overlap at that point (`-` when every pair is separated):
 ///
-///   # fig4 lulesh (xeon preset, 4 threads, 2 reps)
-///   grain_work_units  optimized  wo_jemalloc  wo_waitfree_deps  wo_dtlock
-///   2.1e6             100.0      97.3         95.1              98.8
+///   # fig4 lulesh
+///   grain_work_units    optimized            wo_jemalloc          ...  overlap
+///   2.1e6               100.0 [ 98.2,101.0]   97.3 [ 96.0, 98.9]  ...  optimized~wo_jemalloc
 ///   ...
 ///
 /// Every run is verified against the app's serial reference; a

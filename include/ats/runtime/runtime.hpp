@@ -219,7 +219,6 @@ class Runtime {
   void quiesce();
   std::string watchdogReport() const;
 
-  static void completeThunk(Task& task);
   static void reclaimThunk(DepTask& task);
   static void readyThunk(void* ctx, DepTask* task, std::size_t cpu);
 

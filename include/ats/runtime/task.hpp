@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 
 #include "deps/dep_task.hpp"
 
@@ -11,7 +8,8 @@ namespace ats {
 
 /// Task descriptor.  The schedulers only ever move `Task*` around; the
 /// dependency subsystem sees the DepTask base; the runtime owns the
-/// closure and completion machinery on top.
+/// closure and completion machinery on top (Runtime::executeTask is the
+/// one place a body runs).
 ///
 /// A task body is either a raw function pointer (`body`/`arg` — what the
 /// scheduler benches use) or a type-erased closure installed by
@@ -22,12 +20,6 @@ struct Task : DepTask {
   void (*body)(void* arg) = nullptr;
   void* arg = nullptr;
 
-  /// NUMA domain hint for affinity-aware policies (0 = don't care).
-  std::uint32_t numaHint = 0;
-
-  /// Higher runs earlier under priority-aware policies.
-  std::uint32_t priority = 0;
-
   /// Inline closure storage; capture sets larger than this spill to the
   /// heap (Runtime::installClosure decides and sets the destroyer).
   static constexpr std::size_t kInlineClosureBytes = 48;
@@ -36,37 +28,8 @@ struct Task : DepTask {
   void (*invoker)(Task& task) = nullptr;
   void (*closureDestroy)(Task& task) = nullptr;
 
-  /// Completion hook installed by the owning Runtime at spawn.
-  void (*onComplete)(Task& task) = nullptr;
+  /// Owning Runtime, set at allocation.
   void* runtime = nullptr;
-
-  /// Execute the task to completion:
-  ///
-  ///   1. run the body exactly once (closure if installed, else the raw
-  ///      function pointer);
-  ///   2. run the completion hook, which destroys the closure, releases
-  ///      the task's dependency accesses — readying successors into the
-  ///      scheduler — and drops the execution reference.  The descriptor
-  ///      is reclaimed EAGERLY the moment its refcount drains (see
-  ///      DepTask::refCount): release-path code must never touch another
-  ///      task's access nodes after resolving it.
-  ///
-  /// A task with neither closure nor raw body is a misconfigured bench or
-  /// runtime bug; that used to no-op silently, now it fails loudly.
-  void run() {
-    if (invoker != nullptr) {
-      invoker(*this);
-    } else if (body != nullptr) {
-      body(arg);
-    } else {
-      std::fprintf(stderr,
-                   "ats::Task::run(): task %p has neither a closure nor a "
-                   "raw body — misconfigured bench or spawn path\n",
-                   static_cast<void*>(this));
-      std::abort();
-    }
-    if (onComplete != nullptr) onComplete(*this);
-  }
 };
 
 }  // namespace ats

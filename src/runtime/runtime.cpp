@@ -224,8 +224,6 @@ void Runtime::registerAndSubmit(Task* task,
           "descriptor holds at most %zu",
           accesses.size(), kMaxAccessesPerTask);
   }
-  task->runtime = this;
-  task->onComplete = &completeThunk;
   // Count the task in before registering: the sink can hand it to a
   // worker that runs and completes it before registerTask even returns.
   inFlight_.fetch_add(1, std::memory_order_relaxed);
@@ -245,10 +243,6 @@ void Runtime::registerAndSubmit(Task* task,
     task->dropRef();
     throw;
   }
-}
-
-void Runtime::completeThunk(Task& task) {
-  static_cast<Runtime*>(task.runtime)->complete(&task);
 }
 
 void Runtime::complete(Task* task) {

@@ -148,37 +148,26 @@ TEST_P(RuntimeMatrixTest, ReadFanNeverObservesTornWriter) {
   EXPECT_EQ(pair.b, kRounds);
 }
 
-/// The scheduler-tuning dimension of the ISSUE-5 batched-serve work:
-/// every PolicyKind crossed with batch-vs-serve-one delegation, on the
-/// optimized SyncDelegation/WaitFreeAsm runtime under 8 workers.  The
-/// conservation and ordering laws must be knob-independent.
-using Tuning = std::tuple<PolicyKind, bool>;
+std::string policyParamName(const ::testing::TestParamInfo<PolicyKind>& info) {
+  return policyKindName(info.param);
+}
 
-class SchedTuningMatrixTest : public ::testing::TestWithParam<Tuning> {};
+/// Every PolicyKind on the optimized SyncDelegation/WaitFreeAsm runtime
+/// under 8 workers.  The conservation and ordering laws must be
+/// policy-independent.
+class SchedTuningMatrixTest : public ::testing::TestWithParam<PolicyKind> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Knobs, SchedTuningMatrixTest,
-    ::testing::Combine(::testing::Values(PolicyKind::Fifo, PolicyKind::Lifo,
-                                         PolicyKind::NumaFifo),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      std::string name;
-      switch (std::get<0>(info.param)) {
-        case PolicyKind::Fifo: name = "Fifo"; break;
-        case PolicyKind::Lifo: name = "Lifo"; break;
-        case PolicyKind::NumaFifo: name = "NumaFifo"; break;
-      }
-      return name + (std::get<1>(info.param) ? "_BatchServe" : "_ServeOne");
-    });
+INSTANTIATE_TEST_SUITE_P(Knobs, SchedTuningMatrixTest,
+                         ::testing::Values(PolicyKind::Fifo, PolicyKind::Lifo,
+                                           PolicyKind::NumaFifo),
+                         policyParamName);
 
 TEST_P(SchedTuningMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
   constexpr int kTasks = 2000;
-  const auto [policy, batchServe] = GetParam();
   RuntimeConfig config =
       testConfig(DepsKind::WaitFreeAsm, SchedulerKind::SyncDelegation, 8);
-  config.policy = policy;
-  config.schedBatchServe = batchServe;
-  // Small buffers so the overflow help-drain path runs under every knob.
+  config.policy = GetParam();
+  // Small buffers so the overflow help-drain path runs under every policy.
   config.spscCapacity = 32;
   Runtime rt(config);
 
@@ -200,11 +189,9 @@ TEST_P(SchedTuningMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
 
 TEST_P(SchedTuningMatrixTest, InoutChainStaysStrictlyOrdered) {
   constexpr int kLinks = 300;
-  const auto [policy, batchServe] = GetParam();
   RuntimeConfig config =
       testConfig(DepsKind::WaitFreeAsm, SchedulerKind::SyncDelegation, 8);
-  config.policy = policy;
-  config.schedBatchServe = batchServe;
+  config.policy = GetParam();
   Runtime rt(config);
 
   // Dependency order must override ANY ready-queue policy: the chain
@@ -227,33 +214,20 @@ TEST_P(SchedTuningMatrixTest, InoutChainStaysStrictlyOrdered) {
   }
 }
 
-/// The NUMA dimension of the ISSUE-7 waiter-locality work: the Rome
-/// preset (8 domains at full width, several at 8 workers) crossed with
-/// waiter-locality on/off and a plain-vs-NUMA policy, so the grouped
-/// serve path and its holder-locality ablation both keep the
-/// conservation and ordering laws on a genuinely multi-domain map.
-using NumaKnobs = std::tuple<PolicyKind, bool>;
+/// The Rome preset (8 domains at full width, several at 8 workers)
+/// crossed with a plain-vs-NUMA policy, so the waiter-grouped serve keeps
+/// the conservation and ordering laws on a genuinely multi-domain map.
+class NumaMatrixTest : public ::testing::TestWithParam<PolicyKind> {};
 
-class NumaMatrixTest : public ::testing::TestWithParam<NumaKnobs> {};
-
-INSTANTIATE_TEST_SUITE_P(
-    Knobs, NumaMatrixTest,
-    ::testing::Combine(::testing::Values(PolicyKind::Fifo,
-                                         PolicyKind::NumaFifo),
-                       ::testing::Bool()),
-    [](const auto& info) {
-      std::string name =
-          std::get<0>(info.param) == PolicyKind::Fifo ? "Fifo" : "NumaFifo";
-      return name + (std::get<1>(info.param) ? "_WaiterLocality"
-                                             : "_HolderLocality");
-    });
+INSTANTIATE_TEST_SUITE_P(Knobs, NumaMatrixTest,
+                         ::testing::Values(PolicyKind::Fifo,
+                                           PolicyKind::NumaFifo),
+                         policyParamName);
 
 TEST_P(NumaMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
   constexpr int kTasks = 2000;
-  const auto [policy, waiterLocality] = GetParam();
   RuntimeConfig config = makeRomeConfig(8);
-  config.policy = policy;
-  config.schedWaiterLocality = waiterLocality;
+  config.policy = GetParam();
   // Small buffers so the domain-sharded overflow drain runs constantly.
   config.spscCapacity = 32;
   Runtime rt(config);
@@ -282,10 +256,8 @@ TEST_P(NumaMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
 
 TEST_P(NumaMatrixTest, InoutChainStaysStrictlyOrdered) {
   constexpr int kLinks = 300;
-  const auto [policy, waiterLocality] = GetParam();
   RuntimeConfig config = makeRomeConfig(8);
-  config.policy = policy;
-  config.schedWaiterLocality = waiterLocality;
+  config.policy = GetParam();
   Runtime rt(config);
 
   // Dependency order must survive the domain-grouped serve: a group
@@ -421,17 +393,9 @@ TEST(RuntimeConfigTest, MachinePresetConfigsShareConsistentDefaults) {
     EXPECT_EQ(config->deps, reference.deps);
     EXPECT_EQ(config->usePoolAllocator, reference.usePoolAllocator);
     EXPECT_EQ(config->policy, reference.policy);
-    EXPECT_EQ(config->schedBatchServe, reference.schedBatchServe);
-    EXPECT_EQ(config->serveBurst, reference.serveBurst);
-    EXPECT_EQ(config->schedWaiterLocality, reference.schedWaiterLocality);
     EXPECT_EQ(config->spscCapacity, reference.spscCapacity);
-    EXPECT_EQ(config->stealProbeLimit, reference.stealProbeLimit);
     EXPECT_EQ(config->tracer, reference.tracer);  // factories never attach one
   }
-  // The optimized configuration batches its delegation serving — batch
-  // serve IS the §8 optimization, not an opt-in.
-  EXPECT_TRUE(reference.schedBatchServe);
-  EXPECT_TRUE(reference.schedWaiterLocality);
   EXPECT_EQ(reference.policy, PolicyKind::Fifo);
   EXPECT_EQ(xeon.topo.preset, MachinePreset::Xeon);
   EXPECT_EQ(rome.topo.preset, MachinePreset::Rome);

@@ -32,45 +32,34 @@ std::unique_ptr<Scheduler> makeByName(const std::string& which,
     return std::make_unique<PTLockScheduler>(
         topo, std::make_unique<FifoPolicy>());
   if (which == "work_steal")
-    return std::make_unique<WorkStealingScheduler>(
-        topo, WorkStealingScheduler::Options{.dequeCapacity = spscCapacity});
+    return std::make_unique<WorkStealingScheduler>(topo, spscCapacity);
   // Rome-preset variants pin the multi-domain paths: `cpus` CPUs shrink
   // the 8-domain preset to one CPU per domain, so every waiter group and
   // add-buffer shard is its own domain and the NumaFifo policy's queues
-  // are maximally split.  "_holder" turns waiter-locality off (the PR-5
-  // holder-locality serve), so both sides of the micro_numa ablation
-  // keep the conservation and ordering laws.
-  if (which == "sync_dtlock_rome" || which == "sync_dtlock_rome_holder") {
+  // are maximally split.
+  if (which == "sync_dtlock_rome") {
     const Topology rome = makeTopology(MachinePreset::Rome, cpus);
     return std::make_unique<SyncScheduler>(
-        rome, std::make_unique<NumaFifoPolicy>(rome),
-        SyncScheduler::Options{.spscCapacity = spscCapacity,
-                               .waiterLocality =
-                                   which == "sync_dtlock_rome"});
+        rome, std::make_unique<NumaFifoPolicy>(rome), spscCapacity);
   }
   if (which == "ptlock_rome") {
     const Topology rome = makeTopology(MachinePreset::Rome, cpus);
     return std::make_unique<PTLockScheduler>(
         rome, std::make_unique<NumaFifoPolicy>(rome), spscCapacity);
   }
-  // "sync_dtlock" runs the batched (default) serve; "sync_dtlock_serve1"
-  // the Listing-5 serve-one ablation baseline.
   return std::make_unique<SyncScheduler>(
-      topo, std::make_unique<FifoPolicy>(),
-      SyncScheduler::Options{.spscCapacity = spscCapacity,
-                             .batchServe = which != "sync_dtlock_serve1"});
+      topo, std::make_unique<FifoPolicy>(), spscCapacity);
 }
 
 class EverySchedulerTest : public ::testing::TestWithParam<std::string> {};
 
+// Named by design, not by index, so adding or removing a design never
+// renumbers the others.
 INSTANTIATE_TEST_SUITE_P(Designs, EverySchedulerTest,
                          ::testing::Values("central_mutex", "ptlock",
-                                           "ptlock_rome",
-                                           "sync_dtlock",
-                                           "sync_dtlock_serve1",
-                                           "sync_dtlock_rome",
-                                           "sync_dtlock_rome_holder",
-                                           "work_steal"));
+                                           "ptlock_rome", "sync_dtlock",
+                                           "sync_dtlock_rome", "work_steal"),
+                         [](const auto& info) { return info.param; });
 
 TEST_P(EverySchedulerTest, EmptySchedulerReturnsNull) {
   auto sched = makeByName(GetParam(), 4);
@@ -136,8 +125,7 @@ TEST(SyncSchedulerTest, OverflowDrainLosesNothingAndKeepsOrder) {
   // Buffer of 8 while 1000 tasks pour in from one thread with no
   // consumer: the overflow help-drain path runs ~125 times.
   auto sched = std::make_unique<SyncScheduler>(
-      testTopo(2), std::make_unique<FifoPolicy>(),
-      SyncScheduler::Options{.spscCapacity = 8});
+      testTopo(2), std::make_unique<FifoPolicy>(), 8);
   std::vector<Task> pool(1000);
   for (auto& t : pool) sched->addReadyTask(&t, 0);
   for (auto& t : pool) {
@@ -148,8 +136,7 @@ TEST(SyncSchedulerTest, OverflowDrainLosesNothingAndKeepsOrder) {
 
 TEST(SyncSchedulerTest, PerCpuBuffersDrainFromAnyGetter) {
   auto sched = std::make_unique<SyncScheduler>(
-      testTopo(4), std::make_unique<FifoPolicy>(),
-      SyncScheduler::Options{.spscCapacity = 64});
+      testTopo(4), std::make_unique<FifoPolicy>(), 64);
   std::vector<Task> pool(8);
   // Adds from several different CPUs sit in distinct SPSC buffers...
   for (std::size_t i = 0; i < pool.size(); ++i) {
@@ -165,45 +152,6 @@ TEST(SyncSchedulerTest, PerCpuBuffersDrainFromAnyGetter) {
   EXPECT_EQ(sched->getReadyTask(3), nullptr);
   std::sort(got.begin(), got.end());
   for (std::size_t i = 0; i < pool.size(); ++i) EXPECT_EQ(got[i], &pool[i]);
-}
-
-/// serveBurst=1 is the smallest legal batch: every combining pass
-/// snapshots exactly one waiter, so batch boundaries fall between every
-/// pair of serves.  Conservation must still hold.
-TEST(SyncSchedulerTest, UnitServeBurstStillConservesUnderContention) {
-  constexpr std::size_t kTasks = 5000;
-  constexpr int kConsumers = 3;
-  SyncScheduler sched(testTopo(kConsumers + 1),
-                      std::make_unique<FifoPolicy>(),
-                      SyncScheduler::Options{.serveBurst = 1});
-  std::vector<Task> pool(kTasks);
-
-  std::atomic<std::size_t> retrieved{0};
-  std::vector<std::vector<Task*>> got(kConsumers);
-  std::vector<std::thread> threads;
-  threads.emplace_back([&] {
-    for (auto& t : pool) sched.addReadyTask(&t, 0);
-  });
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&, c] {
-      const std::size_t cpu = static_cast<std::size_t>(c) + 1;
-      while (retrieved.load(std::memory_order_relaxed) < kTasks) {
-        if (Task* t = sched.getReadyTask(cpu); t != nullptr) {
-          got[static_cast<std::size_t>(c)].push_back(t);
-          retrieved.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  std::vector<Task*> all;
-  for (const auto& v : got) all.insert(all.end(), v.begin(), v.end());
-  ASSERT_EQ(all.size(), kTasks);
-  std::sort(all.begin(), all.end());
-  for (std::size_t i = 0; i < kTasks; ++i) ASSERT_EQ(all[i], &pool[i]);
 }
 
 TEST(AddBufferSetTest, DomainDrainIsShardedAndBounded) {
@@ -247,8 +195,7 @@ TEST(SyncSchedulerTest, ProducerOnlyDomainStillDrainsCrossDomain) {
   Topology topo;
   topo.numCpus = 4;
   topo.numNumaDomains = 2;  // CPUs 0-1 -> domain 0; 2-3 -> domain 1
-  SyncScheduler sched(topo, std::make_unique<NumaFifoPolicy>(topo),
-                      SyncScheduler::Options{.spscCapacity = 256});
+  SyncScheduler sched(topo, std::make_unique<NumaFifoPolicy>(topo));
   std::vector<Task> pool(100);
   for (auto& t : pool) sched.addReadyTask(&t, 0);  // domain-0 producer only
   // Only domain-1 CPUs ever ask; every domain-0 task must reach them,
@@ -282,26 +229,6 @@ TEST(SchedulerFactoryTest, KindNamesMatchSchedulerNames) {
   }
 }
 
-// RuntimeConfig cannot include the sched layer's header, so its default
-// duplicates the scheduler's constant; this is the guard that keeps the
-// two from drifting.
-static_assert(WorkStealingSchedulerOptions::kDefaultStealProbeLimit == 64);
-
-TEST(WorkStealingSchedulerTest, ConfigDefaultMirrorsSchedulerDefault) {
-  RuntimeConfig config;
-  EXPECT_EQ(config.stealProbeLimit,
-            WorkStealingSchedulerOptions::kDefaultStealProbeLimit);
-}
-
-TEST(WorkStealingSchedulerTest, ClampsProbeLimitToAtLeastOne) {
-  // stealProbeLimit = 0 would make remote-domain work unreachable; the
-  // constructor clamps it.
-  WorkStealingScheduler sched(testTopo(4),
-                              WorkStealingScheduler::Options{
-                                  .stealProbeLimit = 0});
-  EXPECT_EQ(sched.stealProbeLimit(), 1u);
-}
-
 TEST(WorkStealingSchedulerTest, SpawnerSlotDequeIsStealOnlyIngress) {
   // Adds submitted from the reserved spawner slot (slot == numCpus) land
   // in that slot's own deque and are reachable from any worker via the
@@ -329,6 +256,36 @@ TEST(WorkStealingSchedulerTest, LocalPopIsLifoThenStealsAreFifo) {
   EXPECT_EQ(sched.getReadyTask(1), &pool[2]);
   EXPECT_EQ(sched.getReadyTask(1), nullptr);
   EXPECT_EQ(sched.getReadyTask(2), nullptr);
+}
+
+TEST(WorkStealingSchedulerTest, RemoteProbeRotationReachesEveryVictim) {
+  // Full Rome: slot 0 has 112 remote victims, more than one call's
+  // kStealProbeLimit probes, so only the rotating cursor can reach the
+  // last of them.  Rebuild slot 0's remote probe order (slot ring from
+  // 1, other domains only) and park one task in its last victim.
+  const Topology rome = makeTopology(MachinePreset::Rome);
+  WorkStealingScheduler sched(rome);
+  std::vector<std::size_t> remotes;
+  for (std::size_t v = 1; v < rome.slotCount(); ++v) {
+    if (rome.domainOfSlot(v) != rome.domainOfSlot(0)) remotes.push_back(v);
+  }
+  ASSERT_GT(remotes.size(), WorkStealingScheduler::kStealProbeLimit);
+  Task task;
+  sched.addReadyTask(&task, remotes.back());
+
+  const std::size_t bound =
+      (remotes.size() + WorkStealingScheduler::kStealProbeLimit - 1) /
+      WorkStealingScheduler::kStealProbeLimit;
+  EXPECT_EQ(sched.getReadyTask(0), nullptr)
+      << "the first bounded probe must stop short of the last victim";
+  std::size_t calls = 1;
+  Task* got = nullptr;
+  while (got == nullptr && calls < bound) {
+    got = sched.getReadyTask(0);
+    ++calls;
+  }
+  EXPECT_EQ(got, &task) << "not reached within " << bound << " calls";
+  EXPECT_EQ(sched.getReadyTask(0), nullptr);
 }
 
 // ------------------------------------------------------------- policies
@@ -552,8 +509,7 @@ TEST_P(PolicyUnderSchedulerTest, FloodConservesTasksExactlyOnce) {
   constexpr std::size_t kTasks = 10000;
   constexpr int kConsumers = 3;
   const Topology topo = testTopo(kConsumers + 1);
-  SyncScheduler sched(topo, makePolicy(GetParam(), topo),
-                      SyncScheduler::Options{});
+  SyncScheduler sched(topo, makePolicy(GetParam(), topo));
   std::vector<Task> pool(kTasks);
 
   std::atomic<std::size_t> retrieved{0};

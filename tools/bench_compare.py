@@ -17,9 +17,10 @@ the iteration rows per name (equivalent to the mean aggregate) so no
 single noisy repetition decides a delta and aggregates never
 double-count.
 
-Exit status is 0 unless --fail-below is given, in which case any
-benchmark whose delta falls below the threshold (percent, e.g. -10)
-fails the run — the hook a future CI perf gate can use.
+Exit status is 1 when a baseline benchmark is missing from the new
+run: a deleted or renamed gated bench would otherwise drop out of the
+gate unnoticed.  With --fail-below, any benchmark whose delta falls
+below the threshold (percent, e.g. -10) also fails the run.
 
 Stdlib only; no third-party deps.
 """
@@ -118,13 +119,21 @@ def main(argv=None):
         if args.fail_below is not None and pct < args.fail_below:
             failed.append((name, pct))
 
-    only_old = sorted(set(old) - set(new))
+    missing = sorted(set(old) - set(new))
     only_new = sorted(set(new) - set(old))
-    if only_old:
-        print(f"\nonly in {args.old}: " + ", ".join(only_old))
     if only_new:
-        print(f"only in {args.new}: " + ", ".join(only_new))
+        print(f"\nonly in {args.new}: " + ", ".join(only_new))
 
+    status = 0
+    if missing:
+        print(
+            f"\nFAIL: {len(missing)} baseline benchmark(s) missing from "
+            f"{args.new}:",
+            file=sys.stderr,
+        )
+        for name in missing:
+            print(f"  {name}", file=sys.stderr)
+        status = 1
     if failed:
         print(
             f"\nFAIL: {len(failed)} benchmark(s) regressed past "
@@ -133,8 +142,8 @@ def main(argv=None):
         )
         for name, pct in failed:
             print(f"  {name}: {pct:+.1f}%", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    return status
 
 
 if __name__ == "__main__":
