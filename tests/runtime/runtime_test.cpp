@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -148,25 +149,30 @@ TEST_P(RuntimeMatrixTest, ReadFanNeverObservesTornWriter) {
   EXPECT_EQ(pair.b, kRounds);
 }
 
-std::string policyParamName(const ::testing::TestParamInfo<PolicyKind>& info) {
-  return policyKindName(info.param);
-}
+/// A ready-queue policy as a test parameter.  gtest prints it by name, so
+/// the discovered tests read `.../fifo` rather than a byte dump.
+struct Policy {
+  PolicyKind kind;
+  friend void PrintTo(const Policy& policy, std::ostream* os) {
+    *os << policyKindName(policy.kind);
+  }
+};
 
 /// Every PolicyKind on the optimized SyncDelegation/WaitFreeAsm runtime
 /// under 8 workers.  The conservation and ordering laws must be
 /// policy-independent.
-class SchedTuningMatrixTest : public ::testing::TestWithParam<PolicyKind> {};
+class SchedTuningMatrixTest : public ::testing::TestWithParam<Policy> {};
 
 INSTANTIATE_TEST_SUITE_P(Knobs, SchedTuningMatrixTest,
-                         ::testing::Values(PolicyKind::Fifo, PolicyKind::Lifo,
-                                           PolicyKind::NumaFifo),
-                         policyParamName);
+                         ::testing::Values(Policy{PolicyKind::Fifo},
+                                           Policy{PolicyKind::Lifo},
+                                           Policy{PolicyKind::NumaFifo}));
 
 TEST_P(SchedTuningMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
   constexpr int kTasks = 2000;
   RuntimeConfig config =
       testConfig(DepsKind::WaitFreeAsm, SchedulerKind::SyncDelegation, 8);
-  config.policy = GetParam();
+  config.policy = GetParam().kind;
   // Small buffers so the overflow help-drain path runs under every policy.
   config.spscCapacity = 32;
   Runtime rt(config);
@@ -191,7 +197,7 @@ TEST_P(SchedTuningMatrixTest, InoutChainStaysStrictlyOrdered) {
   constexpr int kLinks = 300;
   RuntimeConfig config =
       testConfig(DepsKind::WaitFreeAsm, SchedulerKind::SyncDelegation, 8);
-  config.policy = GetParam();
+  config.policy = GetParam().kind;
   Runtime rt(config);
 
   // Dependency order must override ANY ready-queue policy: the chain
@@ -217,17 +223,16 @@ TEST_P(SchedTuningMatrixTest, InoutChainStaysStrictlyOrdered) {
 /// The Rome preset (8 domains at full width, several at 8 workers)
 /// crossed with a plain-vs-NUMA policy, so the waiter-grouped serve keeps
 /// the conservation and ordering laws on a genuinely multi-domain map.
-class NumaMatrixTest : public ::testing::TestWithParam<PolicyKind> {};
+class NumaMatrixTest : public ::testing::TestWithParam<Policy> {};
 
 INSTANTIATE_TEST_SUITE_P(Knobs, NumaMatrixTest,
-                         ::testing::Values(PolicyKind::Fifo,
-                                           PolicyKind::NumaFifo),
-                         policyParamName);
+                         ::testing::Values(Policy{PolicyKind::Fifo},
+                                           Policy{PolicyKind::NumaFifo}));
 
 TEST_P(NumaMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
   constexpr int kTasks = 2000;
   RuntimeConfig config = makeRomeConfig(8);
-  config.policy = GetParam();
+  config.policy = GetParam().kind;
   // Small buffers so the domain-sharded overflow drain runs constantly.
   config.spscCapacity = 32;
   Runtime rt(config);
@@ -257,7 +262,7 @@ TEST_P(NumaMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
 TEST_P(NumaMatrixTest, InoutChainStaysStrictlyOrdered) {
   constexpr int kLinks = 300;
   RuntimeConfig config = makeRomeConfig(8);
-  config.policy = GetParam();
+  config.policy = GetParam().kind;
   Runtime rt(config);
 
   // Dependency order must survive the domain-grouped serve: a group

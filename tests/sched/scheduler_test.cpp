@@ -53,13 +53,10 @@ std::unique_ptr<Scheduler> makeByName(const std::string& which,
 
 class EverySchedulerTest : public ::testing::TestWithParam<std::string> {};
 
-// Named by design, not by index, so adding or removing a design never
-// renumbers the others.
 INSTANTIATE_TEST_SUITE_P(Designs, EverySchedulerTest,
                          ::testing::Values("central_mutex", "ptlock",
                                            "ptlock_rome", "sync_dtlock",
-                                           "sync_dtlock_rome", "work_steal"),
-                         [](const auto& info) { return info.param; });
+                                           "sync_dtlock_rome", "work_steal"));
 
 TEST_P(EverySchedulerTest, EmptySchedulerReturnsNull) {
   auto sched = makeByName(GetParam(), 4);
