@@ -38,9 +38,11 @@ class Watchdog;  // runtime/watchdog.hpp; only the .cpp needs the type
 ///   rt.taskwait();
 ///
 /// Threading contract (the OmpSs model the §2 ASM assumes):
-///   * spawn may be called from the owning "spawner" thread and from task
-///     bodies; accesses to the SAME object must be registered by one
-///     thread at a time (sibling tasks are created in program order).
+///   * spawn may be called ONLY from the owning "spawner" thread and from
+///     task bodies (the per-slot counters' single-writer rule: every
+///     non-worker thread counts on the spawner slot); accesses to the
+///     SAME object must be registered by one thread at a time (sibling
+///     tasks are created in program order).
 ///   * taskwait is spawner-only (a task body calling it would wait on
 ///     itself).  While waiting, the spawner helps execute ready tasks
 ///     through its own reserved CPU slot — the scheduler is built with
@@ -135,16 +137,11 @@ class Runtime {
   DependencySystem& deps() { return *deps_; }
   Allocator& allocator() { return *alloc_; }
 
-  /// Descriptors currently alive (allocated, not yet reclaimed).  With
-  /// eager reclamation this tracks the in-flight window; after a
-  /// taskwait it returns to zero.  Summed over per-CPU stripes, so a
-  /// mid-flight reading is approximate (individual stripes go negative
-  /// when one thread allocates what another reclaims); at quiescence it
-  /// is exact.
+  /// Descriptors currently alive (allocated, not yet reclaimed): the
+  /// in-flight window under eager reclamation, zero after a taskwait.
+  /// Summed over the per-slot counters, so exact only at quiescence.
   std::size_t liveDescriptors() const {
-    std::int64_t sum = 0;
-    for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
-      sum += descriptorDelta_[i].v.load(std::memory_order_relaxed);
+    const std::int64_t sum = sumSlots(&SlotCounters::live);
     return sum > 0 ? static_cast<std::size_t>(sum) : 0;
   }
 
@@ -161,7 +158,7 @@ class Runtime {
   /// Monotonic count of retired tasks (completed, failed, or skipped) —
   /// the watchdog's progress probe, public so tests can assert on it.
   std::uint64_t tasksRetired() const {
-    return retired_.load(std::memory_order_relaxed);
+    return static_cast<std::uint64_t>(sumSlots(&SlotCounters::retired));
   }
 
  private:
@@ -222,18 +219,34 @@ class Runtime {
   static void reclaimThunk(DepTask& task);
   static void readyThunk(void* ctx, DepTask* task, std::size_t cpu);
 
-  /// Per-CPU-slot allocated-minus-reclaimed delta.  Each slot has a
-  /// single writing thread (workers their own, every non-worker the
-  /// spawner slot), so the hot path is a plain store — no shared-line
-  /// RMW per task like a single counter would cost.
-  struct alignas(64) DescriptorDelta {
-    std::atomic<std::int64_t> v{0};
+  /// One counter block per CPU slot (the last is the spawner's).  One
+  /// writing thread per slot, so a bump is a plain load+store: no shared
+  /// line, no RMW per task.  DESIGN.md "Quiescence without a shared
+  /// counter" has the taskwait argument.
+  struct alignas(64) SlotCounters {
+    std::atomic<std::int64_t> spawned{0};  ///< registered from this slot
+    std::atomic<std::int64_t> retired{0};  ///< completed on this slot
+    std::atomic<std::int64_t> live{0};  ///< allocated minus reclaimed here
   };
+  using Counter = std::atomic<std::int64_t> SlotCounters::*;
 
-  void bumpDescriptorDelta(std::int64_t by) {
-    std::atomic<std::int64_t>& slot = descriptorDelta_[callerCpu()].v;
-    slot.store(slot.load(std::memory_order_relaxed) + by,
-               std::memory_order_relaxed);
+  void bump(Counter counter, std::int64_t by,
+            std::memory_order order = std::memory_order_relaxed) {
+    std::atomic<std::int64_t>& slot = slots_[callerCpu()].*counter;
+    slot.store(slot.load(std::memory_order_relaxed) + by, order);
+  }
+
+  std::int64_t sumSlots(Counter counter) const {
+    std::int64_t sum = 0;
+    for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
+      sum += (slots_[i].*counter).load(std::memory_order_acquire);
+    return sum;
+  }
+
+  /// Every task spawned so far has retired; sums `retired` FIRST.
+  bool quiescent() const {
+    const std::int64_t retired = sumSlots(&SlotCounters::retired);
+    return retired == sumSlots(&SlotCounters::spawned);
   }
 
   RuntimeConfig config_;
@@ -241,15 +254,12 @@ class Runtime {
   Allocator* alloc_;
   std::unique_ptr<DependencySystem> deps_;
   std::unique_ptr<Scheduler> sched_;
-  std::unique_ptr<DescriptorDelta[]> descriptorDelta_;
+  std::unique_ptr<SlotCounters[]> slots_;
 
-  std::atomic<std::size_t> inFlight_{0};
   std::atomic<bool> stop_{false};
   std::vector<std::thread> workers_;
 
   GraphStatus graph_;
-  std::atomic<std::uint64_t> retired_{0};
-  std::thread::id spawnerThread_;
   std::unique_ptr<Watchdog> watchdog_;  // destroyed first: see ~Runtime
 };
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <mutex>
 #include <string>
 
 #include "common/fatal.hpp"
@@ -109,7 +108,6 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   // in the destructor.
   if (config_.tracer != nullptr)
     installFatalHook(&dumpTracerOnFatal, this);
-  spawnerThread_ = std::this_thread::get_id();
   // §4: descriptors (and heap-spilled closures) come from the
   // configured allocator — the thread-caching pool for the optimized
   // runtime, plain operator new for the "w/o jemalloc" ablation.
@@ -131,8 +129,7 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   // map from numCpus, and a phantom extra "CPU" would shift
   // cpusPerDomain and misclassify real workers.
   spawnerCpu_ = config_.topo.numCpus;
-  descriptorDelta_ =
-      std::make_unique<DescriptorDelta[]>(config_.topo.numCpus + 1);
+  slots_ = std::make_unique<SlotCounters[]>(config_.topo.numCpus + 1);
   RuntimeConfig schedConfig = config_;
   schedConfig.topo.reservedSlots = config_.topo.reservedSlots + 1;
   sched_ = makeScheduler(schedConfig);
@@ -146,12 +143,8 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   if (config_.watchdogTimeoutMs > 0) {
     Watchdog::Options options;
     options.timeout = std::chrono::milliseconds(config_.watchdogTimeoutMs);
-    options.progress = [this] {
-      return retired_.load(std::memory_order_relaxed);
-    };
-    options.busy = [this] {
-      return inFlight_.load(std::memory_order_relaxed) != 0;
-    };
+    options.progress = [this] { return tasksRetired(); };
+    options.busy = [this] { return !quiescent(); };
     options.report = [this] { return watchdogReport(); };
     if (config_.watchdogOnStall != nullptr) {
       options.onStall = [fn = config_.watchdogOnStall,
@@ -202,7 +195,7 @@ Task* Runtime::allocateTask() {
   // one hands the descriptor straight back to the allocator.
   task->refCount.store(1, std::memory_order_relaxed);
   task->onLastRef = &reclaimThunk;
-  bumpDescriptorDelta(+1);
+  bump(&SlotCounters::live, 1);
   return task;
 }
 
@@ -211,7 +204,7 @@ void Runtime::reclaimThunk(DepTask& dep) {
   Runtime* self = static_cast<Runtime*>(task.runtime);
   task.~Task();
   self->alloc_->deallocate(&task, sizeof(Task));
-  self->bumpDescriptorDelta(-1);
+  self->bump(&SlotCounters::live, -1);
 }
 
 void Runtime::registerAndSubmit(Task* task,
@@ -225,16 +218,16 @@ void Runtime::registerAndSubmit(Task* task,
           accesses.size(), kMaxAccessesPerTask);
   }
   // Count the task in before registering: the sink can hand it to a
-  // worker that runs and completes it before registerTask even returns.
-  inFlight_.fetch_add(1, std::memory_order_relaxed);
+  // worker that runs and retires it before registerTask even returns.
+  bump(&SlotCounters::spawned, 1);
   try {
     deps_->registerTask(task, accesses.data(), accesses.size(), callerCpu());
   } catch (...) {
     // Only the deps_register* failpoints can throw here, and they sit
     // BEFORE the deps layer mutates anything — so the descriptor is
-    // still wholly ours: undo the in-flight accounting, destroy the
-    // closure, and reclaim it so conservation holds for the caller.
-    inFlight_.fetch_sub(1, std::memory_order_acq_rel);
+    // still wholly ours: undo the spawn count, destroy the closure, and
+    // reclaim it so conservation holds for the caller.
+    bump(&SlotCounters::spawned, -1);
     if (task->closureDestroy != nullptr) {
       task->closureDestroy(*task);
       task->closureDestroy = nullptr;
@@ -254,16 +247,11 @@ void Runtime::complete(Task* task) {
   deps_->release(task, callerCpu());
   // Execution reference: from here the descriptor lives only as long as
   // dependency chains can still reach it — often this drop reclaims it
-  // on the spot.  Must precede the inFlight_ decrement so a taskwait'er
-  // observing zero knows every drop but the deps layer's own is done.
+  // on the spot.  The retirement after it counts EVERY exit (run, failed,
+  // skipped: the watchdog's progress probe) with release, so a
+  // taskwait'er summing it sees the drop, the body's effects and spawns.
   task->dropRef();
-  // The watchdog's progress probe: bumps on EVERY retirement — run,
-  // failed, or skipped — so a cancelling graph draining is visibly
-  // making progress, not stalling.
-  retired_.fetch_add(1, std::memory_order_relaxed);
-  // Release order: the taskwait'er acquiring inFlight_ == 0 must see
-  // every body's side effects.
-  inFlight_.fetch_sub(1, std::memory_order_acq_rel);
+  bump(&SlotCounters::retired, 1, std::memory_order_release);
 }
 
 void Runtime::readyThunk(void* ctx, DepTask* task, std::size_t cpu) {
@@ -401,11 +389,12 @@ void Runtime::drainAndHelp() {
   // collected TaskStart/End totals) but not in any ThreadTraceStats —
   // worker tasksExecuted summing below the spawn count is expected.
   SpinWait waiter;
-  while (inFlight_.load(std::memory_order_acquire) != 0) {
-    Task* task = sched_->getReadyTask(cpu);
-    if (task != nullptr) {
+  for (;;) {
+    if (Task* task = sched_->getReadyTask(cpu)) {
       waiter.reset();
       executeTask(task, cpu);
+    } else if (quiescent()) {
+      break;
     } else {
       waiter.spin();
     }
@@ -458,25 +447,26 @@ std::string Runtime::watchdogReport() const {
                 schedulerKindName(config_.scheduler), deps_->name(),
                 config_.topo.numCpus);
   out += line;
+  const std::int64_t retired = sumSlots(&SlotCounters::retired);
   std::snprintf(
       line, sizeof(line),
-      "  inFlight=%zu retired=%llu failed=%llu skipped=%llu cancelled=%d "
+      "  inFlight=%lld retired=%lld failed=%llu skipped=%llu cancelled=%d "
       "liveDescriptors=%zu\n",
-      inFlight_.load(std::memory_order_relaxed),
-      static_cast<unsigned long long>(
-          retired_.load(std::memory_order_relaxed)),
+      static_cast<long long>(sumSlots(&SlotCounters::spawned) - retired),
+      static_cast<long long>(retired),
       static_cast<unsigned long long>(graph_.tasksFailed()),
       static_cast<unsigned long long>(graph_.tasksSkipped()),
       graph_.cancelled() ? 1 : 0, liveDescriptors());
   out += line;
-  out += "  per-slot descriptor deltas:";
   for (std::size_t i = 0; i <= config_.topo.numCpus; ++i) {
-    std::snprintf(line, sizeof(line), " %lld",
-                  static_cast<long long>(
-                      descriptorDelta_[i].v.load(std::memory_order_relaxed)));
+    const SlotCounters& slot = slots_[i];  // the last is the spawner's
+    std::snprintf(line, sizeof(line), "  slot %zu: spawned/retired/live "
+                  "%lld/%lld/%lld\n", i,
+                  static_cast<long long>(slot.spawned.load()),
+                  static_cast<long long>(slot.retired.load()),
+                  static_cast<long long>(slot.live.load()));
     out += line;
   }
-  out += "\n";
   return out;
 }
 

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
@@ -213,6 +214,70 @@ TEST_P(FailureMatrixTest, SpawnFailureAtDepsRegisterIsClean) {
       << "a spawn-side failure must not poison the graph";
   EXPECT_EQ(executed.load(), 100);
   EXPECT_EQ(rt.liveDescriptors(), 0u);
+}
+
+// The same deps_register failure, but from a body a WORKER runs: the
+// spawn count the failed spawn took on the worker's slot must be undone
+// there, or taskwait (which waits for the spawned and retired sums to
+// meet) and the watchdog would see a task that never retires.
+TEST_P(FailureMatrixTest, WorkerSpawnFailureKeepsSlotCountersBalanced) {
+  constexpr int kChildren = 8;  // half spawned before the failure, half after
+  constexpr int kRounds = 3;
+  const auto [deps, sched] = GetParam();
+  const char* site = deps == DepsKind::WaitFreeAsm ? "deps_register"
+                                                   : "deps_register_locked";
+  std::atomic<int> stalls{0};
+  RuntimeConfig config = testConfig(deps, sched, 4);
+  config.watchdogTimeoutMs = 50;
+  config.watchdogOnStall = [](void* ctx, const char* report) {
+    // An unbalanced slot also hangs taskwait; the report names the slot.
+    std::fputs(report, stderr);
+    static_cast<std::atomic<int>*>(ctx)->fetch_add(1);
+  };
+  config.watchdogOnStallCtx = &stalls;
+  Runtime rt(config);
+
+  for (int round = 0; round < kRounds; ++round) {
+    const std::uint64_t retiredBefore = rt.tasksRetired();
+    std::atomic<bool> started{false};
+    std::atomic<int> caught{0};
+    std::atomic<int> childrenRan{0};
+    std::size_t bodyCpu = rt.callerCpu();
+    long long obj = 0;
+    rt.spawn({}, [&] {
+      started.store(true, std::memory_order_release);
+      bodyCpu = rt.callerCpu();
+      const auto child = [&childrenRan] {
+        childrenRan.fetch_add(1, std::memory_order_relaxed);
+      };
+      for (int i = 0; i < kChildren / 2; ++i) rt.spawn({}, child);
+      FailpointRegistry::instance().arm(site, FailpointMode::Throw, 1.0, 1);
+      try {
+        rt.spawn({inout(obj)}, child);
+      } catch (const FailpointError&) {
+        caught.fetch_add(1, std::memory_order_relaxed);
+      }
+      FailpointRegistry::instance().disarm(site);
+      for (int i = 0; i < kChildren / 2; ++i) rt.spawn({}, child);
+    });
+    // The spawner does not help before taskwait, so only a worker can
+    // have picked the body up.
+    while (!started.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    EXPECT_NO_THROW(rt.taskwaitChecked())
+        << "a failure the body caught must not poison the graph";
+
+    EXPECT_LT(bodyCpu, rt.config().topo.numCpus) << "body ran on the spawner";
+    EXPECT_EQ(caught.load(), 1);
+    EXPECT_EQ(childrenRan.load(), kChildren);
+    EXPECT_EQ(rt.tasksRetired() - retiredBefore,
+              static_cast<std::uint64_t>(1 + kChildren));
+    EXPECT_EQ(rt.liveDescriptors(), 0u);
+  }
+  // Idle with balanced counters: a watchdog seeing a phantom in-flight
+  // task would fire within timeout + one poll (62.5 ms).
+  std::this_thread::sleep_for(std::chrono::milliseconds(120));
+  EXPECT_EQ(stalls.load(), 0) << "watchdog saw an unbalanced slot";
 }
 
 // closure_spill guards the heap-spill allocation: a large-capture spawn

@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -147,6 +148,89 @@ TEST_P(RuntimeMatrixTest, ReadFanNeverObservesTornWriter) {
   EXPECT_EQ(reads.load(), kRounds * kReadersPerRound);
   EXPECT_EQ(pair.a, kRounds);
   EXPECT_EQ(pair.b, kRounds);
+}
+
+/// Quiescence when tasks spawn tasks: taskwait sums the per-slot retired
+/// counters before the spawned ones, and a body's spawns are counted on
+/// the body's own slot before its retirement is published.  Each batch
+/// is a spawn tree whose bodies spawn their children, so taskwait must
+/// see through every level, on every scheduler x deps pairing.
+class QuiescenceMatrixTest
+    : public ::testing::TestWithParam<std::tuple<DepsKind, SchedulerKind>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, QuiescenceMatrixTest,
+    ::testing::Combine(::testing::Values(DepsKind::WaitFreeAsm,
+                                         DepsKind::FineGrainedLocks),
+                       ::testing::Values(SchedulerKind::SyncDelegation,
+                                         SchedulerKind::PTLockCentral,
+                                         SchedulerKind::CentralMutex,
+                                         SchedulerKind::WorkStealing)),
+    [](const auto& info) {
+      return kindName(std::get<0>(info.param)) + "_" +
+             schedName(std::get<1>(info.param));
+    });
+
+TEST_P(QuiescenceMatrixTest, NestedSpawnTreeFinishesBeforeTaskwaitReturns) {
+  // Depth 6, fan-out 3, heap-numbered: node i's children are 3i+1..3i+3.
+  constexpr std::size_t kFanOut = 3;
+  constexpr std::size_t kNodes = (729 * 3 - 1) / 2;  // 1 + 3 + ... + 3^6
+  constexpr int kBatches = 12;
+  struct Tree {
+    Runtime& rt;
+    std::vector<std::atomic<int>> ran;
+    std::vector<long long> value;  // each node's own `out` object
+    std::atomic<std::size_t> done{0};
+    std::atomic<bool> returned{false};  // set once taskwait came back
+    std::atomic<int> late{0};
+
+    explicit Tree(Runtime& runtime)
+        : rt(runtime), ran(kNodes), value(kNodes, -1) {}
+
+    void spawnNode(std::size_t node) {
+      rt.spawn({out(value[node])}, [this, node] { visit(node); });
+    }
+
+    void visit(std::size_t node) {
+      if (returned.load(std::memory_order_acquire))
+        late.fetch_add(1, std::memory_order_relaxed);
+      ran[node].fetch_add(1, std::memory_order_relaxed);
+      value[node] = static_cast<long long>(node);
+      for (std::size_t c = kFanOut * node + 1;
+           c <= kFanOut * node + kFanOut && c < kNodes; ++c) {
+        spawnNode(c);
+      }
+      done.fetch_add(1, std::memory_order_release);
+    }
+  };
+
+  // Every tree outlives the runtime, so a body that (wrongly) ran after
+  // its taskwait returned is caught by `late`, not by a use-after-free.
+  std::vector<std::unique_ptr<Tree>> trees;
+  const auto [deps, sched] = GetParam();
+  Runtime rt(testConfig(deps, sched, 4));
+  for (int batch = 0; batch < kBatches; ++batch) {
+    trees.push_back(std::make_unique<Tree>(rt));
+    Tree& tree = *trees.back();
+    const std::uint64_t retiredBefore = rt.tasksRetired();
+    tree.spawnNode(0);
+    rt.taskwait();
+    tree.returned.store(true, std::memory_order_release);
+
+    ASSERT_EQ(tree.done.load(std::memory_order_acquire), kNodes)
+        << "taskwait returned with bodies unfinished in batch " << batch;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      ASSERT_EQ(tree.ran[i].load(), 1) << "node " << i << ", batch " << batch;
+      ASSERT_EQ(tree.value[i], static_cast<long long>(i));
+    }
+    EXPECT_EQ(rt.tasksRetired() - retiredBefore, kNodes);
+    EXPECT_EQ(rt.liveDescriptors(), 0u);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  for (const auto& tree : trees) {
+    EXPECT_EQ(tree->late.load(), 0) << "a body ran after taskwait returned";
+    EXPECT_EQ(tree->done.load(), kNodes);
+  }
 }
 
 /// A ready-queue policy as a test parameter.  gtest prints it by name, so
