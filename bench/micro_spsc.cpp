@@ -1,14 +1,13 @@
 // §3.1 claim: the bounded wait-free SPSC queue is a cheap decoupling
 // buffer.  Single-thread round-trip cost, batch drain via consumeAll, and
-// a comparison against the MPMC queue and a mutex-guarded deque on the
-// same 1-producer/1-consumer traffic.
+// a comparison against a mutex-guarded deque on the same
+// 1-producer/1-consumer traffic.
 #include <benchmark/benchmark.h>
 
 #include <deque>
 #include <mutex>
 #include <thread>
 
-#include "containers/mpmc_queue.hpp"
 #include "containers/spsc_queue.hpp"
 
 namespace {
@@ -39,18 +38,6 @@ void BM_SpscConsumeAllBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_SpscConsumeAllBatch)->Arg(8)->Arg(64)->Arg(512);
-
-void BM_MpmcPushPop(benchmark::State& state) {
-  MpmcQueue<std::uint64_t> q(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    q.push(1);
-    q.pop(v);
-    benchmark::DoNotOptimize(v);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MpmcPushPop);
 
 void BM_MutexDequePushPop(benchmark::State& state) {
   std::mutex mu;

@@ -19,7 +19,6 @@ enum class MachinePreset {
 struct Topology {
   std::size_t numCpus = 1;
   std::size_t numNumaDomains = 1;
-  std::size_t cacheLineBytes = 64;
   MachinePreset preset = MachinePreset::Host;
 
   /// Extra per-thread scheduler slots beyond the real CPUs — the
@@ -41,16 +40,14 @@ struct Topology {
   /// fill a domain before the next.  Reserved slots (the Runtime's
   /// spawner) fold onto a real CPU's domain via the modulo, and
   /// degenerate hand-built shapes (zero CPUs or domains) collapse to
-  /// domain 0 instead of dividing by zero.
+  /// domain 0 instead of dividing by zero.  Always less than
+  /// max(1, numNumaDomains), so callers index per-domain arrays with it
+  /// unclamped.
   std::size_t domainOfSlot(std::size_t slot) const {
     if (numCpus < 1 || numNumaDomains <= 1) return 0;
     const std::size_t domain = (slot % numCpus) / cpusPerDomain();
     return domain < numNumaDomains ? domain : numNumaDomains - 1;
   }
-
-  /// Domain owning `cpu` — the physical-CPU reading of the same map.
-  /// Exact alias of domainOfSlot so the two cannot drift.
-  std::size_t numaDomainOf(std::size_t cpu) const { return domainOfSlot(cpu); }
 
   /// CPUs per NUMA domain, rounded up so every CPU maps somewhere.
   std::size_t cpusPerDomain() const {

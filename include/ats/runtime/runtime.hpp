@@ -74,10 +74,9 @@ class Runtime {
   /// on the heap.  Returns as soon as the accesses are registered — the
   /// body runs when its dependencies resolve, on whatever worker gets it.
   ///
-  /// Every overload funnels into registerAndSubmit — one descriptor
+  /// Both overloads funnel into registerAndSubmit — one descriptor
   /// set-up and registration path, so invariants (access-count check,
-  /// in-flight accounting, completion wiring) live in exactly one place
-  /// and the overloads differ only in how the body is installed.
+  /// in-flight accounting, completion wiring) live in exactly one place.
   template <typename Fn>
   void spawn(std::initializer_list<Access> accesses, Fn&& fn) {
     spawn(std::span<const Access>(accesses.begin(), accesses.size()),
@@ -103,10 +102,6 @@ class Runtime {
     }
     registerAndSubmit(task, accesses);
   }
-
-  /// Raw function-pointer spawn for callers that manage their own state.
-  void spawn(std::initializer_list<Access> accesses, void (*fn)(void*),
-             void* arg);
 
   /// Wait until every spawned task has completed, helping execute ready
   /// tasks meanwhile, then recycle descriptors and dependency chains.
@@ -151,9 +146,14 @@ class Runtime {
 
   /// Lifetime failure counters (they survive taskwait/reset), for
   /// conservation audits: executed + tasksFailed() + tasksSkipped() ==
-  /// spawned, across every batch this Runtime ever ran.
-  std::uint64_t tasksFailed() const { return graph_.tasksFailed(); }
-  std::uint64_t tasksSkipped() const { return graph_.tasksSkipped(); }
+  /// spawned, across every batch this Runtime ever ran.  Summed over the
+  /// per-slot counters like tasksRetired(), so exact at quiescence.
+  std::uint64_t tasksFailed() const {
+    return static_cast<std::uint64_t>(sumSlots(&SlotCounters::failed));
+  }
+  std::uint64_t tasksSkipped() const {
+    return static_cast<std::uint64_t>(sumSlots(&SlotCounters::skipped));
+  }
 
   /// Monotonic count of retired tasks (completed, failed, or skipped) —
   /// the watchdog's progress probe, public so tests can assert on it.
@@ -182,22 +182,20 @@ class Runtime {
       ATS_FAILPOINT(closure_spill);
       if constexpr (alignof(F) <= Allocator::kAlignment) {
         void* mem = alloc_->allocate(sizeof(F));
-        task->arg = ::new (mem) F(std::forward<Fn>(fn));
+        task->heapClosure = ::new (mem) F(std::forward<Fn>(fn));
         task->closureDestroy = [](Task& t) {
-          std::launder(static_cast<F*>(t.arg))->~F();
-          static_cast<Runtime*>(t.runtime)->alloc_->deallocate(t.arg,
-                                                              sizeof(F));
-          t.arg = nullptr;
+          std::launder(static_cast<F*>(t.heapClosure))->~F();
+          static_cast<Runtime*>(t.runtime)->alloc_->deallocate(
+              t.heapClosure, sizeof(F));
         };
       } else {
-        task->arg = new F(std::forward<Fn>(fn));
+        task->heapClosure = new F(std::forward<Fn>(fn));
         task->closureDestroy = [](Task& t) {
-          delete static_cast<F*>(t.arg);
-          t.arg = nullptr;
+          delete static_cast<F*>(t.heapClosure);
         };
       }
       task->invoker = [](Task& t) {
-        (*std::launder(static_cast<F*>(t.arg)))();
+        (*std::launder(static_cast<F*>(t.heapClosure)))();
       };
     }
   }
@@ -212,6 +210,8 @@ class Runtime {
   /// path (run, fail, skip).
   void executeTask(Task* task, std::size_t cpu);
   void drainAndHelp();
+  /// Destroy the task's closure (inline or spilled) exactly once.
+  static void destroyClosure(Task* task);
   void complete(Task* task);
   void quiesce();
   std::string watchdogReport() const;
@@ -227,6 +227,8 @@ class Runtime {
     std::atomic<std::int64_t> spawned{0};  ///< registered from this slot
     std::atomic<std::int64_t> retired{0};  ///< completed on this slot
     std::atomic<std::int64_t> live{0};  ///< allocated minus reclaimed here
+    std::atomic<std::int64_t> failed{0};   ///< bodies that threw here
+    std::atomic<std::int64_t> skipped{0};  ///< cancelled, never run here
   };
   using Counter = std::atomic<std::int64_t> SlotCounters::*;
 

@@ -11,14 +11,12 @@ namespace ats {
 /// closure and completion machinery on top (Runtime::executeTask is the
 /// one place a body runs).
 ///
-/// A task body is either a raw function pointer (`body`/`arg` — what the
-/// scheduler benches use) or a type-erased closure installed by
-/// `Runtime::spawn` into `closureBuf` (or the heap when it does not fit),
-/// invoked through `invoker`.
+/// A task body is a type-erased closure installed by `Runtime::spawn`
+/// into `closureBuf` (or the heap when it does not fit), invoked through
+/// `invoker`.
 struct Task : DepTask {
-  /// Raw body entry point (used when no closure is installed).
-  void (*body)(void* arg) = nullptr;
-  void* arg = nullptr;
+  /// The closure when it spilled to the heap; unused when inline.
+  void* heapClosure = nullptr;
 
   /// Inline closure storage; capture sets larger than this spill to the
   /// heap (Runtime::installClosure decides and sets the destroyer).

@@ -41,11 +41,8 @@ class AddBufferSet {
     const std::size_t domains =
         std::max<std::size_t>(1, topo.numNumaDomains);
     domainSlots_.resize(domains);
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-      std::size_t domain = topo.domainOfSlot(slot);
-      if (domain >= domains) domain = domains - 1;
-      domainSlots_[domain].push_back(slot);
-    }
+    for (std::size_t slot = 0; slot < slots; ++slot)
+      domainSlots_[topo.domainOfSlot(slot)].push_back(slot);
   }
 
   std::size_t numCpus() const { return buffers_.size(); }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <deque>
@@ -96,14 +97,9 @@ class LifoPolicy final : public SchedulerPolicy {
 /// the next), so lock ordering is trivial and deadlock-free.
 class NumaFifoPolicy final : public SchedulerPolicy {
  public:
-  explicit NumaFifoPolicy(const Topology& topo) : topo_(topo) {
-    // Normalize the STORED topology, not just the queue count: domainOf
-    // feeds every cpu through topo_.numaDomainOf, whose per-domain math
-    // divides by both fields — a zero-domain (or zero-CPU) hand-built
-    // Topology must degrade to one global FIFO, not to UB.
-    if (topo_.numNumaDomains < 1) topo_.numNumaDomains = 1;
-    if (topo_.numCpus < 1) topo_.numCpus = 1;
-    domainCount_ = topo_.numNumaDomains;
+  explicit NumaFifoPolicy(const Topology& topo)
+      : topo_(topo),
+        domainCount_(std::max<std::size_t>(1, topo.numNumaDomains)) {
     // unique_ptr<Domain[]>, not vector<Domain>: a Domain is pinned by
     // its SpinLock (atomics are not movable) and vector requires
     // move-insertable elements even for the initial fill.
@@ -154,18 +150,16 @@ class NumaFifoPolicy final : public SchedulerPolicy {
     std::deque<Task*> queue;
   };
 
+  /// Topology::domainOfSlot owns the slot→domain rule and returns less
+  /// than max(1, numNumaDomains), so a zero-domain or zero-CPU
+  /// hand-built Topology degrades to one global FIFO.  Reserved slots
+  /// (the Runtime's spawner) fold onto a real CPU's domain.
   std::size_t domainOf(std::size_t cpu) const {
-    // Topology::domainOfSlot owns the slot→domain rule (reserved slots —
-    // the Runtime's spawner — fold onto a real CPU's domain, so the
-    // spawner simply shares domain 0's queue); the clamp covers
-    // hand-built topologies whose domain count exceeds our normalized
-    // queue count.
-    const std::size_t domain = topo_.domainOfSlot(cpu);
-    return domain < domainCount_ ? domain : domainCount_ - 1;
+    return topo_.domainOfSlot(cpu);
   }
 
   Topology topo_;
-  std::size_t domainCount_ = 0;
+  std::size_t domainCount_;
   std::unique_ptr<Domain[]> domains_;
 };
 

@@ -172,15 +172,6 @@ std::size_t Runtime::callerCpu() const {
   return tlsCpu == kNoCpu ? spawnerCpu_ : tlsCpu;
 }
 
-void Runtime::spawn(std::initializer_list<Access> accesses,
-                    void (*fn)(void*), void* arg) {
-  Task* task = allocateTask();
-  task->body = fn;
-  task->arg = arg;
-  registerAndSubmit(task,
-                    std::span<const Access>(accesses.begin(), accesses.size()));
-}
-
 Task* Runtime::allocateTask() {
   static_assert(alignof(Task) <= Allocator::kAlignment);
   // Default-init, NOT value-init: Task() would zero the whole
@@ -228,28 +219,27 @@ void Runtime::registerAndSubmit(Task* task,
     // still wholly ours: undo the spawn count, destroy the closure, and
     // reclaim it so conservation holds for the caller.
     bump(&SlotCounters::spawned, -1);
-    if (task->closureDestroy != nullptr) {
-      task->closureDestroy(*task);
-      task->closureDestroy = nullptr;
-      task->invoker = nullptr;
-    }
+    destroyClosure(task);
     task->dropRef();
     throw;
   }
 }
 
+void Runtime::destroyClosure(Task* task) {
+  // spawn installs a closure before registering, so every descriptor
+  // that reaches here has one; each caller runs this exactly once.
+  task->closureDestroy(*task);
+}
+
 void Runtime::complete(Task* task) {
-  if (task->closureDestroy != nullptr) {
-    task->closureDestroy(*task);
-    task->closureDestroy = nullptr;
-    task->invoker = nullptr;
-  }
+  destroyClosure(task);
   deps_->release(task, callerCpu());
   // Execution reference: from here the descriptor lives only as long as
   // dependency chains can still reach it — often this drop reclaims it
   // on the spot.  The retirement after it counts EVERY exit (run, failed,
   // skipped: the watchdog's progress probe) with release, so a
-  // taskwait'er summing it sees the drop, the body's effects and spawns.
+  // taskwait'er summing it sees the drop, the body's effects and spawns,
+  // and the failed/skipped bump executeTask made before calling here.
   task->dropRef();
   bump(&SlotCounters::retired, 1, std::memory_order_release);
 }
@@ -267,7 +257,7 @@ void Runtime::executeTask(Task* task, std::size_t cpu) {
     // will observe the token themselves) and drops the execution
     // reference — the graph DRAINS under cancellation, it is never
     // abandoned with descriptors in flight.
-    graph_.noteSkip();
+    bump(&SlotCounters::skipped, 1);
     if (tracer != nullptr)
       tracer->emit(cpu, TraceEvent::TaskSkipped,
                    reinterpret_cast<std::uintptr_t>(task));
@@ -282,15 +272,7 @@ void Runtime::executeTask(Task* task, std::size_t cpu) {
   ++tlsInTaskDepth;
   try {
     ATS_FAILPOINT(task_invoke);
-    if (task->invoker != nullptr) {
-      task->invoker(*task);
-    } else if (task->body != nullptr) {
-      task->body(task->arg);
-    } else {
-      fatal("ats::Runtime: task %p has neither a closure nor a raw body — "
-            "misconfigured spawn path",
-            static_cast<void*>(task));
-    }
+    task->invoker(*task);
   } catch (const FailpointError& caught) {
     failPayload = caught.id();
     error = std::current_exception();
@@ -305,6 +287,7 @@ void Runtime::executeTask(Task* task, std::size_t cpu) {
     // ordering note).  TaskFailed closes the busy interval TaskStart
     // opened; its payload names the firing failpoint (0 = an organic
     // exception from the body).
+    bump(&SlotCounters::failed, 1);
     if (graph_.poison(std::move(error)) && tracer != nullptr)
       tracer->emit(cpu, TraceEvent::GraphCancelled, 0);
     if (tracer != nullptr)
@@ -454,8 +437,8 @@ std::string Runtime::watchdogReport() const {
       "liveDescriptors=%zu\n",
       static_cast<long long>(sumSlots(&SlotCounters::spawned) - retired),
       static_cast<long long>(retired),
-      static_cast<unsigned long long>(graph_.tasksFailed()),
-      static_cast<unsigned long long>(graph_.tasksSkipped()),
+      static_cast<unsigned long long>(tasksFailed()),
+      static_cast<unsigned long long>(tasksSkipped()),
       graph_.cancelled() ? 1 : 0, liveDescriptors());
   out += line;
   for (std::size_t i = 0; i <= config_.topo.numCpus; ++i) {

@@ -39,10 +39,10 @@ TEST(Topology, NumaDomainMappingCoversEveryCpu) {
   const Topology rome = makeTopology(MachinePreset::Rome);
   // Block layout: first CPUs land in domain 0, last in the top domain,
   // and every CPU maps to a valid domain.
-  EXPECT_EQ(rome.numaDomainOf(0), 0u);
-  EXPECT_EQ(rome.numaDomainOf(rome.numCpus - 1), rome.numNumaDomains - 1);
+  EXPECT_EQ(rome.domainOfSlot(0), 0u);
+  EXPECT_EQ(rome.domainOfSlot(rome.numCpus - 1), rome.numNumaDomains - 1);
   for (std::size_t cpu = 0; cpu < rome.numCpus; ++cpu) {
-    EXPECT_LT(rome.numaDomainOf(cpu), rome.numNumaDomains);
+    EXPECT_LT(rome.domainOfSlot(cpu), rome.numNumaDomains);
   }
   // Domains are balanced for the even preset shapes.
   EXPECT_EQ(rome.cpusPerDomain(), 16u);
@@ -58,12 +58,12 @@ TEST(Topology, ReservedSlotsDoNotShiftTheDomainMap) {
   topo.reservedSlots = 1;
   EXPECT_EQ(topo.slotCount(), 5u);
   EXPECT_EQ(topo.cpusPerDomain(), 2u);  // anchored to the 4 real CPUs
-  EXPECT_EQ(topo.numaDomainOf(0), 0u);
-  EXPECT_EQ(topo.numaDomainOf(1), 0u);
-  EXPECT_EQ(topo.numaDomainOf(2), 1u);
-  EXPECT_EQ(topo.numaDomainOf(3), 1u);
+  EXPECT_EQ(topo.domainOfSlot(0), 0u);
+  EXPECT_EQ(topo.domainOfSlot(1), 0u);
+  EXPECT_EQ(topo.domainOfSlot(2), 1u);
+  EXPECT_EQ(topo.domainOfSlot(3), 1u);
   // The reserved slot folds onto a real CPU's domain (slot 4 -> CPU 0).
-  EXPECT_EQ(topo.numaDomainOf(4), 0u);
+  EXPECT_EQ(topo.domainOfSlot(4), 0u);
 }
 
 TEST(Topology, DomainOfSlotPinsEveryPresetShape) {
@@ -94,16 +94,15 @@ TEST(Topology, DomainOfSlotPinsEveryPresetShape) {
   }
 }
 
-TEST(Topology, DomainOfSlotAndNumaDomainOfNeverDrift) {
-  // numaDomainOf is documented as an exact alias; if the two ever
-  // diverge, the policy's queues and the add-buffer shards would
-  // disagree about where a slot's tasks live.
+TEST(Topology, DomainOfSlotStaysBelowTheDomainCount) {
+  // NumaFifoPolicy and AddBufferSet index their per-domain arrays with
+  // domainOfSlot unclamped, so every slot, the reserved spawner slot
+  // included, must land on an existing domain.
   for (const MachinePreset preset :
        {MachinePreset::Xeon, MachinePreset::Rome, MachinePreset::Graviton}) {
     Topology topo = makeTopology(preset);
     topo.reservedSlots = 1;
     for (std::size_t slot = 0; slot < topo.slotCount(); ++slot) {
-      EXPECT_EQ(topo.domainOfSlot(slot), topo.numaDomainOf(slot));
       EXPECT_LT(topo.domainOfSlot(slot), topo.numNumaDomains);
     }
   }

@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -370,17 +371,6 @@ TEST_P(NumaMatrixTest, InoutChainStaysStrictlyOrdered) {
 }
 
 /// Non-matrix runtime behaviors, default (optimized) configuration.
-TEST(RuntimeTest, RawFunctionPointerSpawn) {
-  Runtime rt(optimizedConfig(makeTopology(MachinePreset::Host, 2)));
-  std::atomic<int> hits{0};
-  auto bump = +[](void* arg) {
-    static_cast<std::atomic<int>*>(arg)->fetch_add(1);
-  };
-  for (int i = 0; i < 100; ++i) rt.spawn({}, bump, &hits);
-  rt.taskwait();
-  EXPECT_EQ(hits.load(), 100);
-}
-
 TEST(RuntimeTest, LargeClosureSpillsToHeapAndStillRuns) {
   Runtime rt(optimizedConfig(makeTopology(MachinePreset::Host, 2)));
   std::array<long long, 32> payload{};  // 256 bytes: > inline capacity
@@ -394,6 +384,41 @@ TEST(RuntimeTest, LargeClosureSpillsToHeapAndStillRuns) {
   });
   rt.taskwait();
   EXPECT_EQ(sum, 31 * 32 / 2);
+}
+
+/// A capture aligned past Allocator::kAlignment cannot live in the
+/// descriptor or the pool, so installClosure spills it through aligned
+/// operator new on either allocator setting.
+TEST(RuntimeTest, OverAlignedClosureSpillRunsAndDestroysOnce) {
+  struct Counts {
+    std::atomic<int> runs{0};
+    std::atomic<int> misaligned{0};
+    std::atomic<int> destroyed{0};
+  };
+  struct alignas(64) Capture {
+    Counts* counts;
+    void operator()() const {
+      counts->runs.fetch_add(1);
+      if (reinterpret_cast<std::uintptr_t>(this) % 64 != 0)
+        counts->misaligned.fetch_add(1);
+    }
+    ~Capture() { counts->destroyed.fetch_add(1); }
+  };
+  static_assert(alignof(Capture) > Allocator::kAlignment);
+
+  for (bool usePool : {true, false}) {
+    SCOPED_TRACE(usePool ? "pool allocator" : "system allocator");
+    Counts counts;
+    Runtime rt(testConfig(DepsKind::WaitFreeAsm,
+                          SchedulerKind::SyncDelegation, 2, usePool));
+    const Capture capture{&counts};
+    rt.spawn({}, capture);  // copied into the spill; ours outlives it
+    rt.taskwait();
+    EXPECT_EQ(counts.runs.load(), 1);
+    EXPECT_EQ(counts.misaligned.load(), 0);
+    EXPECT_EQ(counts.destroyed.load(), 1);
+    EXPECT_EQ(rt.liveDescriptors(), 0u);
+  }
 }
 
 TEST(RuntimeTest, TaskwaitWithNothingSpawnedIsANoOp) {
