@@ -17,9 +17,10 @@
 //     bench_compare.py; the acceptance bar is within 5%.
 //   * BM_CancelDrainDepth: cancel() latency — how long taskwait()
 //     takes to drain an already-built inout chain of depth N once the
-//     graph is poisoned.  Skipped tasks still pay dequeue + release,
-//     so this scales with depth; the number bounds how long a
-//     cancelled graph holds its workers.
+//     graph is poisoned.  Skipped tasks still pay their release (and
+//     each hands the next link to its own thread), so this scales with
+//     depth; the number bounds how long a cancelled graph holds its
+//     workers.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -107,7 +108,7 @@ void BM_CancelDrainDepth(benchmark::State& state) {
   for (auto _ : state) {
     std::atomic<bool> started{false};
     std::atomic<bool> gate{false};
-    rt.spawn(std::span<const Access>(), [&] {
+    rt.spawn({inout(var)}, [&] {
       started.store(true, std::memory_order_release);
       while (!gate.load(std::memory_order_acquire)) {
       }

@@ -54,6 +54,9 @@ class Watchdog;  // runtime/watchdog.hpp; only the .cpp needs the type
 ///     events; with the default null tracer every site short-circuits
 ///     on one branch and the hot paths are byte-for-byte the untraced
 ///     ones.
+///   * a successor that a task's completion readies runs next on the
+///     thread that completed it, without a scheduler round trip
+///     (runOne; DESIGN.md "Immediate successor hand-off");
 ///   * descriptors are reclaimed EAGERLY through the §4 allocator
 ///     (`RuntimeConfig::usePoolAllocator` picks pool vs system): each
 ///     carries a refcount covering its execution plus every way the
@@ -161,6 +164,13 @@ class Runtime {
     return static_cast<std::uint64_t>(sumSlots(&SlotCounters::retired));
   }
 
+  /// Monotonic count of tasks that skipped the scheduler: readied by a
+  /// release on some thread and run next by that same thread (DESIGN.md
+  /// "Immediate successor hand-off").  A share of tasksRetired().
+  std::uint64_t tasksHandedOff() const {
+    return static_cast<std::uint64_t>(sumSlots(&SlotCounters::handedOff));
+  }
+
  private:
   template <typename Fn>
   void installClosure(Task* task, Fn&& fn) {
@@ -203,6 +213,10 @@ class Runtime {
   Task* allocateTask();
   void registerAndSubmit(Task* task, std::span<const Access> accesses);
   void workerLoop(std::size_t cpu);
+  /// Run one task on `cpu`: the successor this thread's last release
+  /// kept, else the scheduler's next one.  False when both are empty.
+  /// `endsIdle` emits WorkerIdleEnd just before the task starts.
+  bool runOne(std::size_t cpu, bool endsIdle = false);
   /// The one place a dequeued task's body runs: skip check against the
   /// graph's cancellation token, TaskStart/End|Failed tracing, the
   /// catch frame that turns a throwing body into a poisoned graph, and
@@ -229,6 +243,7 @@ class Runtime {
     std::atomic<std::int64_t> live{0};  ///< allocated minus reclaimed here
     std::atomic<std::int64_t> failed{0};   ///< bodies that threw here
     std::atomic<std::int64_t> skipped{0};  ///< cancelled, never run here
+    std::atomic<std::int64_t> handedOff{0};  ///< run here, bypassing sched_
   };
   using Counter = std::atomic<std::int64_t> SlotCounters::*;
 

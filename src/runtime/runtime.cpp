@@ -37,6 +37,18 @@ thread_local std::size_t tlsCpu = kNoCpu;
 /// taskwait: callerCpu() alone cannot tell it from the real spawner).
 thread_local int tlsInTaskDepth = 0;
 
+/// The runtime whose complete() is releasing dependencies on this
+/// thread, or null.  Only inside that window may readyThunk keep a
+/// successor for this thread; spawns (from the spawner or from bodies)
+/// and other runtimes' releases always go through the scheduler.
+thread_local const Runtime* tlsReleasing = nullptr;
+
+/// The immediate successor: the first task the current release readied,
+/// which this thread's runOne runs next without a scheduler round trip.
+/// Empty again before the next body starts, so it never outlives one
+/// runOne loop.
+thread_local Task* tlsSuccessor = nullptr;
+
 /// Pin a worker to its topology CPU.  Only attempted when the host
 /// actually has a core per worker — pinning an oversubscribed runtime
 /// (CI boxes) just fences threads onto one another.  Failure (cpuset
@@ -233,7 +245,9 @@ void Runtime::destroyClosure(Task* task) {
 
 void Runtime::complete(Task* task) {
   destroyClosure(task);
+  tlsReleasing = this;
   deps_->release(task, callerCpu());
+  tlsReleasing = nullptr;
   // Execution reference: from here the descriptor lives only as long as
   // dependency chains can still reach it — often this drop reclaims it
   // on the spot.  The retirement after it counts EVERY exit (run, failed,
@@ -246,6 +260,10 @@ void Runtime::complete(Task* task) {
 
 void Runtime::readyThunk(void* ctx, DepTask* task, std::size_t cpu) {
   Runtime* self = static_cast<Runtime*>(ctx);
+  if (tlsReleasing == self && tlsSuccessor == nullptr) {
+    tlsSuccessor = static_cast<Task*>(task);
+    return;
+  }
   self->sched_->addReadyTask(static_cast<Task*>(task), cpu);
 }
 
@@ -301,6 +319,20 @@ void Runtime::executeTask(Task* task, std::size_t cpu) {
   complete(task);
 }
 
+bool Runtime::runOne(std::size_t cpu, bool endsIdle) {
+  Task* task = tlsSuccessor;
+  if (task != nullptr) {
+    tlsSuccessor = nullptr;
+    bump(&SlotCounters::handedOff, 1);
+  } else {
+    task = sched_->getReadyTask(cpu);
+    if (task == nullptr) return false;
+  }
+  if (endsIdle) config_.tracer->emit(cpu, TraceEvent::WorkerIdleEnd);
+  executeTask(task, cpu);
+  return true;
+}
+
 void Runtime::workerLoop(std::size_t cpu) {
   tlsCpu = cpu;
   pinWorker(cpu, config_.topo.numCpus);
@@ -325,13 +357,9 @@ void Runtime::workerLoop(std::size_t cpu) {
   SpinWait waiter;
   std::size_t idleStreak = 0;
   while (!stop_.load(std::memory_order_acquire)) {
-    Task* task = sched_->getReadyTask(cpu);
-    if (task != nullptr) {
-      if (tracer != nullptr && idleStreak >= kIdleEmitStreak)
-        tracer->emit(cpu, TraceEvent::WorkerIdleEnd);
+    if (runOne(cpu, tracer != nullptr && idleStreak >= kIdleEmitStreak)) {
       waiter.reset();
       idleStreak = 0;
-      executeTask(task, cpu);
     } else {
       ++idleStreak;
       if (tracer != nullptr && idleStreak == kIdleEmitStreak)
@@ -356,13 +384,11 @@ void Runtime::drainAndHelp() {
   // same bug: a WORKER-run body (callerCpu() is a worker slot), and a
   // body the spawner itself is helping with during an outer taskwait
   // (same thread, so only the task-depth counter can tell).  Nested
-  // taskwait / taskwait-in-task is the open ROADMAP item under
-  // "Production service mode"; until that lands, fail loudly.
+  // taskwait is not supported, so fail loudly.
   if (callerCpu() != spawnerCpu_ || tlsInTaskDepth > 0) {
     fatal("ats::Runtime::taskwait(): called from inside a task (slot %zu, "
           "task depth %d) — a task waiting on its own completion can "
-          "never finish; nested taskwait is an open ROADMAP item "
-          "(\"Production service mode\")",
+          "never finish; nested taskwait is not supported",
           callerCpu(), tlsInTaskDepth);
   }
   const std::size_t cpu = spawnerCpu_;
@@ -373,9 +399,8 @@ void Runtime::drainAndHelp() {
   // worker tasksExecuted summing below the spawn count is expected.
   SpinWait waiter;
   for (;;) {
-    if (Task* task = sched_->getReadyTask(cpu)) {
+    if (runOne(cpu)) {
       waiter.reset();
-      executeTask(task, cpu);
     } else if (quiescent()) {
       break;
     } else {
@@ -443,11 +468,12 @@ std::string Runtime::watchdogReport() const {
   out += line;
   for (std::size_t i = 0; i <= config_.topo.numCpus; ++i) {
     const SlotCounters& slot = slots_[i];  // the last is the spawner's
-    std::snprintf(line, sizeof(line), "  slot %zu: spawned/retired/live "
-                  "%lld/%lld/%lld\n", i,
+    std::snprintf(line, sizeof(line), "  slot %zu: spawned/retired/live/"
+                  "handedOff %lld/%lld/%lld/%lld\n", i,
                   static_cast<long long>(slot.spawned.load()),
                   static_cast<long long>(slot.retired.load()),
-                  static_cast<long long>(slot.live.load()));
+                  static_cast<long long>(slot.live.load()),
+                  static_cast<long long>(slot.handedOff.load()));
     out += line;
   }
   return out;

@@ -525,7 +525,7 @@ TEST(FatalDeathTest, MakeSchedulerRejectsUnknownKindWithFileLine) {
                "makeScheduler: unknown SchedulerKind 99");
 }
 
-TEST(FatalDeathTest, TaskwaitInsideTaskBodyDiesNamingTheRoadmapItem) {
+TEST(FatalDeathTest, TaskwaitInsideTaskBodyDiesSayingItIsUnsupported) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
@@ -534,7 +534,7 @@ TEST(FatalDeathTest, TaskwaitInsideTaskBodyDiesNamingTheRoadmapItem) {
         rt.spawn({}, [&rt] { rt.taskwait(); });
         rt.taskwait();
       },
-      "called from inside a task.*Production service mode");
+      "called from inside a task.*nested taskwait is not supported");
 }
 
 // The crash-evidence pipeline end to end: a fatal inside a traced

@@ -155,7 +155,9 @@ TEST_P(RuntimeMatrixTest, ReadFanNeverObservesTornWriter) {
 /// counters before the spawned ones, and a body's spawns are counted on
 /// the body's own slot before its retirement is published.  Each batch
 /// is a spawn tree whose bodies spawn their children, so taskwait must
-/// see through every level, on every scheduler x deps pairing.
+/// see through every level, on every scheduler x deps pairing.  The same
+/// matrix covers tasks that wait in a thread's successor slot instead of
+/// the scheduler.
 class QuiescenceMatrixTest
     : public ::testing::TestWithParam<std::tuple<DepsKind, SchedulerKind>> {};
 
@@ -232,6 +234,75 @@ TEST_P(QuiescenceMatrixTest, NestedSpawnTreeFinishesBeforeTaskwaitReturns) {
     EXPECT_EQ(tree->late.load(), 0) << "a body ran after taskwait returned";
     EXPECT_EQ(tree->done.load(), kNodes);
   }
+}
+
+/// Immediate successor hand-off: an inout chain whose head is held
+/// until the spawner has registered every link, so each successor is
+/// readied by its predecessor's release, never at spawn.  Every one of
+/// them must then bypass the scheduler and run on the releasing thread.
+TEST_P(QuiescenceMatrixTest, EveryChainSuccessorIsHandedOff) {
+  constexpr int kLinks = 512;
+  const auto [deps, sched] = GetParam();
+  Runtime rt(testConfig(deps, sched, 4));
+
+  std::atomic<bool> registered{false};
+  long long counter = 0;  // non-atomic: only the chain orders the bodies
+  std::vector<long long> observed(kLinks, -1);
+  rt.spawn({inout(counter)}, [&registered, &counter, &observed] {
+    while (!registered.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    observed[0] = counter++;
+  });
+  for (int i = 1; i < kLinks; ++i) {
+    rt.spawn({inout(counter)}, [&counter, &observed, i] {
+      observed[static_cast<std::size_t>(i)] = counter++;
+    });
+  }
+  const std::uint64_t handedOffBefore = rt.tasksHandedOff();
+  registered.store(true, std::memory_order_release);
+  rt.taskwait();
+
+  EXPECT_EQ(counter, kLinks);
+  for (int i = 0; i < kLinks; ++i)
+    ASSERT_EQ(observed[static_cast<std::size_t>(i)], i) << "link " << i;
+  EXPECT_EQ(rt.tasksHandedOff() - handedOffBefore,
+            static_cast<std::uint64_t>(kLinks - 1));
+  EXPECT_EQ(rt.liveDescriptors(), 0u);
+}
+
+/// The same held chain, cancelled from inside link kCancelAt: the links
+/// after it still arrive through the hand-off, and each must be skipped
+/// at its start rather than run, and counted as skipped.
+TEST_P(QuiescenceMatrixTest, CancelSkipsHandedOffSuccessors) {
+  constexpr int kLinks = 512;
+  constexpr int kCancelAt = 100;
+  const auto [deps, sched] = GetParam();
+  Runtime rt(testConfig(deps, sched, 4));
+
+  std::atomic<bool> registered{false};
+  long long counter = 0;
+  rt.spawn({inout(counter)}, [&registered, &counter] {
+    while (!registered.load(std::memory_order_acquire))
+      std::this_thread::yield();
+    ++counter;
+  });
+  for (int i = 1; i < kLinks; ++i) {
+    rt.spawn({inout(counter)}, [&rt, &counter, i] {
+      ++counter;
+      if (i == kCancelAt) rt.cancel();
+    });
+  }
+  const std::uint64_t handedOffBefore = rt.tasksHandedOff();
+  const std::uint64_t skippedBefore = rt.tasksSkipped();
+  registered.store(true, std::memory_order_release);
+  EXPECT_NO_THROW(rt.taskwaitChecked());
+
+  EXPECT_EQ(counter, kCancelAt + 1) << "a link after the cancel ran";
+  EXPECT_EQ(rt.tasksSkipped() - skippedBefore,
+            static_cast<std::uint64_t>(kLinks - kCancelAt - 1));
+  EXPECT_EQ(rt.tasksHandedOff() - handedOffBefore,
+            static_cast<std::uint64_t>(kLinks - 1));
+  EXPECT_EQ(rt.liveDescriptors(), 0u);
 }
 
 /// A ready-queue policy as a test parameter.  gtest prints it by name, so

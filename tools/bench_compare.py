@@ -17,6 +17,10 @@ the iteration rows per name (equivalent to the mean aggregate) so no
 single noisy repetition decides a delta and aggregates never
 double-count.
 
+Absolute numbers only compare within one host class, so the tool exits
+2 without comparing anything when the two files' `context.num_cpus`
+differ (a 1-core baseline says nothing about a 4-core run).
+
 Exit status is 1 when a baseline benchmark is missing from the new
 run: a deleted or renamed gated bench would otherwise drop out of the
 gate unnoticed.  With --fail-below, any benchmark whose delta falls
@@ -31,8 +35,9 @@ import sys
 
 
 def load_benchmarks(path):
-    """name -> (metric_value, metric_kind) for the real benchmark rows.
+    """(num_cpus, {name: (metric_value, metric_kind)}) for the real rows.
 
+    num_cpus comes from the file's context block (None when absent).
     Same-named iteration rows (one per --benchmark_repetitions run) are
     averaged; aggregate rows are skipped so they cannot double-count.
     """
@@ -57,7 +62,7 @@ def load_benchmarks(path):
         if prev_kind != kind:
             continue  # metric kind changed mid-file; keep the first kind
         sums[name] = (total + value, count + 1, kind)
-    return {
+    return data.get("context", {}).get("num_cpus"), {
         name: (total / count, kind)
         for name, (total, count, kind) in sums.items()
     }
@@ -93,8 +98,16 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    old = load_benchmarks(args.old)
-    new = load_benchmarks(args.new)
+    old_cpus, old = load_benchmarks(args.old)
+    new_cpus, new = load_benchmarks(args.new)
+    if old_cpus != new_cpus:
+        print(
+            f"host classes differ: {args.old} has num_cpus={old_cpus}, "
+            f"{args.new} has num_cpus={new_cpus}; re-capture the baseline "
+            "on the host class that runs it",
+            file=sys.stderr,
+        )
+        return 2
 
     common = [name for name in old if name in new]
     if not common:
