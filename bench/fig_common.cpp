@@ -9,7 +9,25 @@
 #include "common/env.hpp"
 #include "runtime/runtime.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace ats::bench {
+
+namespace {
+
+/// CPUs the calling process may run on, or 0 when that is unknown.
+std::size_t allowedCpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+#endif
+  return 0;
+}
+
+}  // namespace
 
 const std::vector<Variant>& ablationVariants() {
   static const std::vector<Variant> v = {
@@ -34,9 +52,18 @@ SweepConfig resolveSweepConfig(MachinePreset preset) {
   SweepConfig cfg;
   const bool full = envFlag("ATS_FULL");
   cfg.scale = full ? AppScale::Full : AppScale::Quick;
-  const std::size_t defaultThreads =
-      full ? makeTopology(preset).numCpus : 4;
-  cfg.topo = makeTopology(preset, envSize("ATS_THREADS", defaultThreads));
+  // More workers than CPUs would measure lock-holder preemption, not
+  // the runtime, so the default never exceeds what this process may use.
+  const std::size_t wanted = full ? makeTopology(preset).numCpus : 4;
+  const std::size_t allowed = allowedCpus();
+  std::size_t defaultThreads = wanted;
+  if (allowed != 0 && allowed < wanted) {
+    defaultThreads = allowed;
+    cfg.uncappedThreads = wanted;
+  }
+  const std::size_t threads = envSize("ATS_THREADS", 0);
+  if (threads != 0) cfg.uncappedThreads = 0;
+  cfg.topo = makeTopology(preset, threads != 0 ? threads : defaultThreads);
   cfg.reps = envSize("ATS_REPS", full ? 5 : 2);
   cfg.maxPoints = full ? 64 : 5;
   return cfg;
@@ -78,9 +105,15 @@ void runFigure(const std::string& figure, MachinePreset preset,
                const std::vector<std::string>& apps,
                const std::vector<Variant>& variants) {
   const SweepConfig cfg = resolveSweepConfig(preset);
-  std::printf("# %s: %s preset, %zu threads, %zu NUMA domains, %zu reps, "
+  char capped[96] = "";
+  if (cfg.uncappedThreads != 0) {
+    std::snprintf(capped, sizeof(capped),
+                  " (default %zu capped to the CPUs this process may use)",
+                  cfg.uncappedThreads);
+  }
+  std::printf("# %s: %s preset, %zu threads%s, %zu NUMA domains, %zu reps, "
               "%s scale\n",
-              figure.c_str(), presetName(preset), cfg.topo.numCpus,
+              figure.c_str(), presetName(preset), cfg.topo.numCpus, capped,
               cfg.topo.numNumaDomains, cfg.reps,
               cfg.scale == AppScale::Full ? "full" : "quick");
   std::printf("# efficiency = 100 * throughput / peak-median-throughput-"

@@ -28,7 +28,8 @@ const std::vector<Variant>& ablationVariants();
 const std::vector<Variant>& runtimeComparisonVariants();
 
 /// Sweep parameters resolved from the environment:
-///   ATS_THREADS  worker threads   (default: 4 quick / preset count full)
+///   ATS_THREADS  worker threads   (default: 4 quick / preset count full,
+///                capped at the CPUs this process may run on)
 ///   ATS_FULL     full paper-sized sweep (default: quick)
 ///   ATS_REPS     repetitions      (default: 2 quick / 5 full)
 ///   ATS_TRACE_DIR where fig10/fig11 write trace files (default: ".")
@@ -37,6 +38,9 @@ struct SweepConfig {
   std::size_t reps = 2;
   AppScale scale = AppScale::Quick;
   std::size_t maxPoints = 5;  ///< granularity points per curve (quick cap)
+  /// The default thread count before the cap to the CPUs this process
+  /// may run on, when the cap lowered it; 0 otherwise.
+  std::size_t uncappedThreads = 0;
 };
 
 SweepConfig resolveSweepConfig(MachinePreset preset);

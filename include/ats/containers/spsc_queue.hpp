@@ -57,10 +57,13 @@ class SpscQueue {
   /// Drain everything currently published, in FIFO order, with a single
   /// index update at the end — the batch the DTLock holder uses when it
   /// moves a whole add-buffer into the ready queue.  Returns the count.
+  /// An empty ring returns before writing anything, so polling an idle
+  /// ring never takes its consumer line away from another reader.
   template <typename F>
   std::size_t consumeAll(F&& fn) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     const std::size_t tail = tail_.load(std::memory_order_acquire);
+    if (tail == head) return 0;
     cachedTail_ = tail;
     for (std::size_t i = head; i != tail; ++i) fn(std::move(slots_[i & mask_]));
     head_.store(tail, std::memory_order_release);
@@ -70,11 +73,13 @@ class SpscQueue {
   /// Bounded consumeAll: drain at most `maxN` published values, FIFO,
   /// still one index update at the end.  The per-domain burst drains use
   /// this to cap how much work one lock hold performs; what stays behind
-  /// remains published for the next drain.  Returns the drained count.
+  /// remains published for the next drain.  Returns the drained count;
+  /// like consumeAll, writes nothing when the ring is empty.
   template <typename F>
   std::size_t consumeN(std::size_t maxN, F&& fn) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     const std::size_t tail = tail_.load(std::memory_order_acquire);
+    if (tail == head) return 0;
     cachedTail_ = tail;
     const std::size_t avail = tail - head;
     const std::size_t take = avail < maxN ? avail : maxN;

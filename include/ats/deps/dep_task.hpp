@@ -7,49 +7,70 @@
 
 namespace ats {
 
+struct AccessNode;
 struct DepTask;
 
 /// The readers between two writes on one object (or before the first
 /// write: the object's root group).  The next write "closes" the group
-/// by adding `kClosedBias` plus the attached-reader count, and parks
-/// itself in `closingWrite`; whoever moves `pending` to exactly
-/// `kClosedBias` last-reader-out resolves that write's group
+/// by adding `kClosedBias` plus the number of readers that registered
+/// into it, and parks itself in `closingWrite`; whoever moves `pending`
+/// to exactly `kClosedBias` last-reader-out resolves that write's group
 /// precondition.  Embedded in every write access node, so a group lives
 /// exactly as long as the task that owns the preceding write.
 ///
-/// Readers contribute to `pending` two ways: one fetch_add at
-/// registration when they resolved themselves (no write to attach to, or
-/// it already completed), or — for readers attached to the preceding
-/// write's list — a plain `attachedRegistrations` increment that the
-/// closing write folds into its bias add.  Registration on one object is
-/// serialized (the sibling-task rule), so the plain field never races;
-/// this is what keeps an attached reader's registration at a single RMW.
-/// Every reader fetch_subs 1 at completion, so `pending` may go negative
-/// (down to -attachedRegistrations) before the close.
-/// NOTE (allocation fast path): ReadGroup and AccessNode are RAW
-/// storage — no default member initializers.  Descriptors are allocated
-/// per spawn under eager reclamation, and zeroing eight embedded access
-/// nodes per task would dominate the §2 round-trip cost; instead, every
-/// field is written by the registration path before anything reads it
-/// (registerWrite re-arms `succGroup`, readers set their links before
-/// attaching, the fine-grained queue links are set under the object
-/// lock).  Containers embedding a ReadGroup that is NOT re-armed by a
-/// registration (the object table's root group) must initialize it
-/// themselves.
+/// Registration never touches `pending`: every reader's membership is
+/// a plain `registrations` increment, which the closing write folds
+/// into its bias add.  Registration on one object is serialized (the
+/// sibling-task rule), so the plain field never races.  Every reader
+/// fetch_subs 1 at completion, so `pending` may go negative (down to
+/// -registrations) before the close.
 struct ReadGroup {
   static constexpr std::int64_t kClosedBias = std::int64_t{1} << 32;
 
-  std::atomic<std::int64_t> pending;
-  std::atomic<struct AccessNode*> closingWrite;
-  std::int64_t attachedRegistrations;
+  std::atomic<std::int64_t> pending{0};
+  std::atomic<AccessNode*> closingWrite{nullptr};
+  std::int64_t registrations = 0;
 };
 
-/// One registered access in an object's dependency chain.  The wait-free
-/// ASM drives the atomic `state`/`successor` fields; the fine-grained
-/// locking fallback uses the `prevQ`/`nextQ` intrusive queue links under
-/// its per-object lock.  Both embed their per-access bookkeeping here so
-/// release never allocates or looks anything up.
-struct AccessNode {
+/// The links of a wait-free read access.
+struct ReaderLinks {
+  /// Our link in the predecessor write's packed reader list.
+  AccessNode* nextReader;
+
+  /// The group this access counted itself into at registration.
+  ReadGroup* joinedGroup;
+
+  /// The task owning `joinedGroup` (nullptr for an object's root group,
+  /// which lives in the table entry).  The reader whose release lands
+  /// the closed group's drain drops this task's group reference.
+  DepTask* groupOwner;
+};
+
+/// The fine-grained-locks implementation's per-object FIFO queue links
+/// and the entry the node was queued in, all guarded by that object's
+/// lock.
+struct QueueLinks {
+  AccessNode* prevQ;
+  AccessNode* nextQ;
+  void* homeEntry;
+};
+
+/// One registered access in an object's dependency chain, on exactly
+/// one cache line, so a dependency edge touches one line of its
+/// predecessor.  The wait-free ASM drives the atomic `state`/
+/// `successor` fields; the fine-grained locking fallback queues the
+/// node through `queue` under its per-object lock.  Both embed their
+/// per-access bookkeeping here so release never allocates or looks
+/// anything up.
+///
+/// NOTE (allocation fast path): nodes are RAW storage in a descriptor
+/// (DepTask::accesses); registration constructs each node it uses, and
+/// the constructor leaves the union alone.  Every field is written by
+/// the registration path before anything reads it (`state` and
+/// `successor` start at zero, registerWrite constructs `succGroup`,
+/// readers set their links before attaching, the fine-grained queue
+/// links are set before the node is queued).
+struct alignas(64) AccessNode {
   /// Wait-free ASM packed state word for writes: two low flag bits plus
   /// the head of the pending-reader list in the pointer bits, so one
   /// fetch_or of kCompleted at release atomically (a) marks the write
@@ -59,38 +80,32 @@ struct AccessNode {
   static constexpr std::uintptr_t kHasSuccessor = 2;  ///< write linked
   static constexpr std::uintptr_t kFlagMask = kCompleted | kHasSuccessor;
 
+  AccessNode() {}
+
   DepTask* task;
   void* object;
   bool read;
 
+  /// Fine-grained locks: this access's precondition has resolved.
+  bool queueSatisfied;
+
   std::atomic<std::uintptr_t> state;
 
-  /// Writes: the single successor write waiting on our completion.
+  /// Writes: the single successor write waiting on our completion.  The
+  /// fine-grained locks chain newly eligible nodes through it.
   std::atomic<AccessNode*> successor;
 
-  /// Reads: our link in the predecessor write's packed reader list.
-  AccessNode* nextReader;
-
-  /// Reads: the group this access counted itself into at registration.
-  ReadGroup* joinedGroup;
-
-  /// Reads: the task owning `joinedGroup` (nullptr for an object's root
-  /// group, which lives in the table entry).  The reader holds one
-  /// reference on it from registration until its release's fetch_sub,
-  /// so the group's storage survives every possible drain order under
-  /// eager descriptor reclamation.
-  DepTask* groupOwner;
-
-  /// Writes: the group for readers registered after this access.
-  ReadGroup succGroup;
-
-  /// Fine-grained-locks implementation: per-object FIFO queue links and
-  /// the entry the node was queued in, all guarded by that object's lock.
-  AccessNode* prevQ;
-  AccessNode* nextQ;
-  void* homeEntry;
-  bool queueSatisfied;
+  /// The three link sets never live at once: a node belongs to one
+  /// dependency system, and `read` says which role it plays there.
+  union {
+    ReadGroup succGroup;  ///< wait-free writes: readers registered after us
+    ReaderLinks reader;   ///< wait-free reads
+    QueueLinks queue;     ///< fine-grained locks, reads and writes
+  };
 };
+
+static_assert(sizeof(AccessNode) == 64 && alignof(AccessNode) == 64,
+              "an access node is exactly one cache line");
 
 /// Per-task accesses are fixed-capacity so a task descriptor is one flat
 /// allocation (the §4 pool-allocator PR depends on that).
@@ -100,6 +115,8 @@ inline constexpr std::size_t kMaxAccessesPerTask = 8;
 /// Task derives from this; the deps layer only ever sees DepTask*, which
 /// keeps it below the runtime layer in the include order.
 struct DepTask {
+  DepTask() {}
+
   /// Unresolved preconditions + one creation guard.  Reads contribute one
   /// precondition (their chain edge); writes contribute two (chain edge +
   /// read-group drain).  The task is handed to the ready sink by whoever
@@ -124,6 +141,9 @@ struct DepTask {
   /// zero is a no-op.
   std::atomic<std::int32_t> refCount{0};
   void (*onLastRef)(DepTask& task) = nullptr;
+  /// Whoever armed `onLastRef` (the runtime stores itself here), so the
+  /// hook finds its allocator.
+  void* owner = nullptr;
 
   /// acq_rel: the releasing thread's writes to the descriptor happen
   /// before whoever reclaims it reuses the storage.  Last-owner
@@ -144,7 +164,14 @@ struct DepTask {
   }
 
   std::size_t numAccesses = 0;
-  AccessNode accesses[kMaxAccessesPerTask];
+
+  /// Raw storage: registration constructs the first `numAccesses`
+  /// nodes.  Constructing all of them with the descriptor would write
+  /// eight lines per spawn, most of which the task never uses and the
+  /// last task in this storage may have left on another core.
+  union {
+    AccessNode accesses[kMaxAccessesPerTask];
+  };
 };
 
 }  // namespace ats

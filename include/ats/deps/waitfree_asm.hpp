@@ -24,10 +24,15 @@ namespace ats {
 ///     attached.  A reader whose CAS observes kCompleted resolves itself
 ///     — again exactly one side acts per reader.
 ///   * readers -> write (the read group): readers count themselves into
-///     the group of the write they follow; the next write closes the
-///     group by fetch_add'ing ReadGroup::kClosedBias.  Either the group
-///     was already drained (resolved at close) or the reader whose
+///     the group of the write they follow with a plain increment of its
+///     registration count; the next write closes the group by
+///     fetch_add'ing ReadGroup::kClosedBias plus that count.  Either the
+///     group was already drained (resolved at close) or the reader whose
 ///     fetch_sub lands on exactly kClosedBias resolves it.
+///
+/// An edge whose predecessor already completed resolves at registration
+/// with loads alone: no lock-prefixed instruction (DESIGN.md "One cache
+/// line per dependency edge").
 class WaitFreeAsmDeps final : public DependencySystem {
  public:
   explicit WaitFreeAsmDeps(ReadySink sink) : DependencySystem(sink) {}
@@ -43,17 +48,9 @@ class WaitFreeAsmDeps final : public DependencySystem {
   /// Per-object ASM anchor.  Only touched on the (per object,
   /// serialized) registration path and by the quiescent reset; the
   /// release path works purely through pointers the nodes carry.
-  /// ReadGroup is raw storage (see dep_task.hpp) and the root group has
-  /// no registering write to arm it, so the constructor must.
   struct ObjectAsm {
     AccessNode* lastWrite = nullptr;
     ReadGroup rootGroup;
-
-    ObjectAsm() {
-      rootGroup.pending.store(0, std::memory_order_relaxed);
-      rootGroup.closingWrite.store(nullptr, std::memory_order_relaxed);
-      rootGroup.attachedRegistrations = 0;
-    }
   };
 
   /// Both return how many of the node's preconditions resolved during

@@ -5,9 +5,11 @@
 namespace ats {
 
 /// The §4 memory-layer contract.  Both implementations hand out storage
-/// suitable for any object with fundamental alignment; callers return
-/// blocks with the same size they requested (sized deallocation is what
-/// lets the pool find the size class without a lookup).
+/// suitable for any object with fundamental alignment, and start every
+/// request of a cache line or more on a line (so a task descriptor's
+/// one-line access nodes never straddle two); callers return blocks
+/// with the same size they requested (sized deallocation is what lets
+/// the pool find the size class without a lookup).
 ///
 /// Thread model: allocate/deallocate are callable from any thread, and a
 /// block allocated on one thread may be freed on another (the task-churn
@@ -18,11 +20,14 @@ class Allocator {
   /// Every allocation is at least this aligned.
   static constexpr std::size_t kAlignment = alignof(std::max_align_t);
 
+  /// Every allocation of at least this many bytes is this aligned.
+  static constexpr std::size_t kLineBytes = 64;
+
   virtual ~Allocator() = default;
 
-  /// Storage for `size` bytes, aligned to kAlignment.  Never returns
-  /// nullptr — allocation failure aborts, like the operator new it
-  /// ultimately rests on.
+  /// Storage for `size` bytes, aligned to kAlignment, and to kLineBytes
+  /// when `size >= kLineBytes`.  Never returns nullptr — allocation
+  /// failure aborts, like the operator new it ultimately rests on.
   virtual void* allocate(std::size_t size) = 0;
 
   /// Return a block previously obtained from allocate(size) on any

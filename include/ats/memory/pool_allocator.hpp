@@ -23,11 +23,16 @@ class PoolThreadCache;
 ///     cache lines.
 ///   * **Remote-free lists** — one Treiber stack per thread cache.  A
 ///     block freed on a thread other than its allocator goes back to
-///     the *owning* thread's remote list with one release-CAS (the
-///     producer/consumer `crossFree` shape: a successor's releasing
-///     thread frees the predecessor's descriptor).  The owner drains
-///     the whole list with a single exchange the next time a magazine
-///     runs dry, so cross-thread frees never contend on a global lock.
+///     the *owning* thread's remote list (the producer/consumer
+///     `crossFree` shape: a successor's releasing thread frees the
+///     predecessor's descriptor).  The freeing thread chains such blocks
+///     in a thread-local batch and publishes the whole chain with one
+///     release-CAS when it holds kRemoteBatch blocks, when the next
+///     remote free has another owner, and at thread exit — so at most
+///     threads x (kRemoteBatch - 1) blocks are ever in flight unseen.
+///     The owner drains the whole list with a single exchange the next
+///     time a magazine runs dry, so cross-thread frees never contend on
+///     a global lock.
 ///   * **Central depot** — per-size-class freelist under a SpinLock,
 ///     refilled by carving chunked slabs from operator new.  Magazines
 ///     refill from and overflow to the depot in batches of
@@ -38,9 +43,12 @@ class PoolThreadCache;
 ///     with the carving thread's domain.
 ///
 /// Every block carries a 16-byte header (owning thread cache + size
-/// class), so `deallocate` finds the owner without any lookup and the
-/// user area stays kAlignment-aligned.  Requests too large for the
-/// class table fall through to operator new.
+/// class), so `deallocate` finds the owner without any lookup.  Slabs
+/// are carved so that `block + 16` is line-aligned, and every class of
+/// 64 bytes or more is a whole number of lines: the user area of such a
+/// block starts on a line (Allocator::kLineBytes) with no per-block
+/// padding.  Requests too large for the class table fall through to
+/// operator new.
 ///
 /// Thread caches are adopted, not destroyed: a cache whose thread exits
 /// flushes its magazines to the depot and parks on an inactive list for
@@ -60,7 +68,7 @@ class PoolAllocator final : public Allocator {
 
   /// Size classes run 32B..8KiB in ~1.5x steps; requests over
   /// kMaxPooledSize fall through to operator new.
-  static constexpr std::size_t kNumClasses = 17;
+  static constexpr std::size_t kNumClasses = 16;
   static constexpr std::size_t kMaxBlockSize = 8192;
   static constexpr std::size_t kMaxPooledSize = kMaxBlockSize - kHeaderBytes;
 
@@ -69,6 +77,10 @@ class PoolAllocator final : public Allocator {
   static constexpr std::size_t kMagazineCapacity = 64;
   static constexpr std::size_t kRefillBatch = 32;
   static constexpr std::size_t kFlushBatch = 32;
+
+  /// Blocks a thread frees for one other owner before it publishes
+  /// them to that owner's remote list with one CAS.
+  static constexpr std::size_t kRemoteBatch = 32;
 
   /// Central depots are sharded by NUMA domain so refill/flush traffic
   /// from different domains never meets on a lock or a freelist cache
@@ -113,7 +125,8 @@ class PoolAllocator final : public Allocator {
   /// cache: current magazine fill for the class serving `userSize`,
   /// blocks parked in that class's central depots (summed across every
   /// shard; the per-shard variant isolates one), blocks other threads
-  /// have pushed to this thread's remote-free list, and the depot shard
+  /// have published to this thread's remote-free list (a batch still
+  /// held by its freeing thread is not counted), and the depot shard
   /// the caller's cache is bound to.
   std::size_t testLocalMagazineFill(std::size_t userSize);
   std::size_t testDepotFree(std::size_t userSize);

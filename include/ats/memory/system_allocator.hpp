@@ -15,11 +15,16 @@ class SystemAllocator final : public Allocator {
   static SystemAllocator& instance();
 
   void* allocate(std::size_t size) override {
-    return ::operator new(size);
+    if (size < kLineBytes) return ::operator new(size);
+    return ::operator new(size, std::align_val_t{kLineBytes});
   }
 
   void deallocate(void* ptr, std::size_t size) override {
-    ::operator delete(ptr, size);
+    if (size < kLineBytes) {
+      ::operator delete(ptr, size);
+    } else {
+      ::operator delete(ptr, size, std::align_val_t{kLineBytes});
+    }
   }
 
   const char* name() const override { return "system"; }

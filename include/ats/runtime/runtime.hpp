@@ -190,24 +190,28 @@ class Runtime {
       // closure churn is task churn.  Over-aligned captures (rare) fall
       // back to aligned operator new, which the pool cannot guarantee.
       ATS_FAILPOINT(closure_spill);
+      F* spilled;
       if constexpr (alignof(F) <= Allocator::kAlignment) {
-        void* mem = alloc_->allocate(sizeof(F));
-        task->heapClosure = ::new (mem) F(std::forward<Fn>(fn));
+        spilled = ::new (alloc_->allocate(sizeof(F))) F(std::forward<Fn>(fn));
         task->closureDestroy = [](Task& t) {
-          std::launder(static_cast<F*>(t.heapClosure))->~F();
-          static_cast<Runtime*>(t.runtime)->alloc_->deallocate(
-              t.heapClosure, sizeof(F));
+          F* f = spilledClosure<F>(t);
+          f->~F();
+          static_cast<Runtime*>(t.owner)->alloc_->deallocate(f, sizeof(F));
         };
       } else {
-        task->heapClosure = new F(std::forward<Fn>(fn));
-        task->closureDestroy = [](Task& t) {
-          delete static_cast<F*>(t.heapClosure);
-        };
+        spilled = new F(std::forward<Fn>(fn));
+        task->closureDestroy = [](Task& t) { delete spilledClosure<F>(t); };
       }
-      task->invoker = [](Task& t) {
-        (*std::launder(static_cast<F*>(t.heapClosure)))();
-      };
+      ::new (static_cast<void*>(task->closureBuf)) F*(spilled);
+      task->invoker = [](Task& t) { (*spilledClosure<F>(t))(); };
     }
+  }
+
+  /// The heap closure whose pointer a spilled installClosure left in
+  /// `closureBuf`.
+  template <typename F>
+  static F* spilledClosure(Task& task) {
+    return *std::launder(reinterpret_cast<F**>(task.closureBuf));
   }
 
   Task* allocateTask();

@@ -13,21 +13,17 @@ namespace ats {
 ///
 /// A task body is a type-erased closure installed by `Runtime::spawn`
 /// into `closureBuf` (or the heap when it does not fit), invoked through
-/// `invoker`.
+/// `invoker`.  The closure and its two entry points fill exactly one
+/// cache line after the access nodes.
 struct Task : DepTask {
-  /// The closure when it spilled to the heap; unused when inline.
-  void* heapClosure = nullptr;
-
   /// Inline closure storage; capture sets larger than this spill to the
-  /// heap (Runtime::installClosure decides and sets the destroyer).
+  /// heap and leave only their pointer here (Runtime::installClosure
+  /// decides and sets the destroyer).
   static constexpr std::size_t kInlineClosureBytes = 48;
   alignas(alignof(std::max_align_t)) unsigned char
       closureBuf[kInlineClosureBytes];
   void (*invoker)(Task& task) = nullptr;
   void (*closureDestroy)(Task& task) = nullptr;
-
-  /// Owning Runtime, set at allocation.
-  void* runtime = nullptr;
 };
 
 }  // namespace ats

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -27,6 +28,13 @@ struct Task;
 /// the common drain touches a per-domain slice of cache lines instead
 /// of every CPU's.  `drainInto` keeps the flat everything-pass as the
 /// fallback that guarantees no ring can be stranded.
+///
+/// Idle polls only read: a getter first checks `nothingReady` — every
+/// ring empty and the policy empty when the lock was last released —
+/// and walks away without touching the lock.  The lock holder records
+/// the policy's state with `notePolicyState` just before every unlock,
+/// so a stale reading only delays a poll, never strands a task
+/// (DESIGN.md "One cache line per dependency edge").
 class AddBufferSet {
  public:
   /// "No cap" sentinel for drainDomain's maxTasks.
@@ -47,6 +55,23 @@ class AddBufferSet {
 
   std::size_t numCpus() const { return buffers_.size(); }
   std::size_t numDomains() const { return domainSlots_.size(); }
+
+  /// True when no ring holds a task and the policy held none at the
+  /// last unlock.  Loads only.
+  bool nothingReady() const {
+    if (policyHasTasks_.load(std::memory_order_acquire)) return false;
+    for (const auto& buffer : buffers_)
+      if (!buffer->empty()) return false;
+    return true;
+  }
+
+  /// Lock holder only, just before unlocking: record whether `policy`
+  /// still holds tasks.  Stores only when that changed.
+  void notePolicyState(SchedulerPolicy& policy) {
+    const bool has = policy.hasTasks();
+    if (has != policyHasTasks_.load(std::memory_order_relaxed))
+      policyHasTasks_.store(has, std::memory_order_release);
+  }
 
   /// Wait-free; false when cpu's buffer is full (caller runs the
   /// overflow drain protocol under the lock).
@@ -88,6 +113,9 @@ class AddBufferSet {
  private:
   std::vector<std::unique_ptr<SpscQueue<Task*>>> buffers_;
   std::vector<std::vector<std::size_t>> domainSlots_;
+  /// Written only by lock holders, read by every idle getter: its own
+  /// line, so neither side drags the other's fields along.
+  alignas(64) std::atomic<bool> policyHasTasks_{false};
 };
 
 }  // namespace ats

@@ -40,6 +40,8 @@ class FifoPolicy final : public SchedulerPolicy {
     return got;
   }
 
+  bool hasTasks() override { return !ready_.empty(); }
+
   const char* policyName() const override { return "fifo"; }
 
  private:
@@ -72,6 +74,8 @@ class LifoPolicy final : public SchedulerPolicy {
     }
     return got;
   }
+
+  bool hasTasks() override { return !ready_.empty(); }
 
   const char* policyName() const override { return "lifo"; }
 
@@ -138,6 +142,14 @@ class NumaFifoPolicy final : public SchedulerPolicy {
       }
     }
     return got;
+  }
+
+  bool hasTasks() override {
+    for (std::size_t i = 0; i < domainCount_; ++i) {
+      std::lock_guard<SpinLock> guard(domains_[i].lock);
+      if (!domains_[i].queue.empty()) return true;
+    }
+    return false;
   }
 
   const char* policyName() const override { return "numa_fifo"; }

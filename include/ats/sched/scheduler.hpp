@@ -82,6 +82,11 @@ class SchedulerPolicy {
     return got;
   }
 
+  /// Whether any task is queued.  The buffered schedulers ask once per
+  /// lock hold, so idle getters can skip the lock (AddBufferSet::
+  /// nothingReady).
+  virtual bool hasTasks() = 0;
+
   virtual const char* policyName() const = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <mutex>
+#include <new>
 
 #include "common/failpoint.hpp"
 
@@ -30,23 +31,23 @@ void FineGrainedLocksDeps::registerTask(DepTask* task,
   std::int32_t resolved = 0;
 
   for (std::size_t i = 0; i < count; ++i) {
-    AccessNode* node = &task->accesses[i];
+    AccessNode* node = ::new (static_cast<void*>(&task->accesses[i]))
+        AccessNode;
     node->task = task;
     node->object = accesses[i].object;
     node->read = accesses[i].isRead();
-    node->prevQ = nullptr;
-    node->nextQ = nullptr;
+    node->queue.nextQ = nullptr;
     node->queueSatisfied = false;
 
     ObjectLocked& obj = objects_.lookupOrCreate(node->object);
-    node->homeEntry = &obj;
+    node->queue.homeEntry = &obj;
 
     bool eligible;
     {
       std::lock_guard<SpinLock> guard(obj.lock);
-      node->prevQ = obj.tail;
+      node->queue.prevQ = obj.tail;
       if (obj.tail != nullptr)
-        obj.tail->nextQ = node;
+        obj.tail->queue.nextQ = node;
       else
         obj.head = node;
       obj.tail = node;
@@ -65,7 +66,7 @@ void FineGrainedLocksDeps::registerTask(DepTask* task,
 void FineGrainedLocksDeps::release(DepTask* task, std::size_t cpu) {
   for (std::size_t i = 0; i < task->numAccesses; ++i) {
     AccessNode* node = &task->accesses[i];
-    ObjectLocked& obj = *static_cast<ObjectLocked*>(node->homeEntry);
+    ObjectLocked& obj = *static_cast<ObjectLocked*>(node->queue.homeEntry);
 
     // Collect newly eligible accesses under the lock (in queue order, so
     // FIFO fairness survives), resolve outside it — the sink may reenter
@@ -84,21 +85,23 @@ void FineGrainedLocksDeps::release(DepTask* task, std::size_t cpu) {
     };
     {
       std::lock_guard<SpinLock> guard(obj.lock);
-      if (node->prevQ != nullptr)
-        node->prevQ->nextQ = node->nextQ;
+      QueueLinks& links = node->queue;
+      if (links.prevQ != nullptr)
+        links.prevQ->queue.nextQ = links.nextQ;
       else
-        obj.head = node->nextQ;
-      if (node->nextQ != nullptr)
-        node->nextQ->prevQ = node->prevQ;
+        obj.head = links.nextQ;
+      if (links.nextQ != nullptr)
+        links.nextQ->queue.prevQ = links.prevQ;
       else
-        obj.tail = node->prevQ;
+        obj.tail = links.prevQ;
       if (!node->read) --obj.queuedWrites;
 
       AccessNode* cursor = obj.head;
       if (cursor != nullptr && !cursor->read) {
         if (!cursor->queueSatisfied) collect(cursor);
       } else {
-        for (; cursor != nullptr && cursor->read; cursor = cursor->nextQ) {
+        for (; cursor != nullptr && cursor->read;
+             cursor = cursor->queue.nextQ) {
           if (!cursor->queueSatisfied) collect(cursor);
         }
       }

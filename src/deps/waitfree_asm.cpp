@@ -1,6 +1,7 @@
 #include "deps/waitfree_asm.hpp"
 
 #include <cassert>
+#include <new>
 
 #include "common/failpoint.hpp"
 
@@ -58,21 +59,30 @@ void WaitFreeAsmDeps::registerTask(DepTask* task, const Access* accesses,
         std::memory_order_relaxed);
   }
 
+  // Look every object up first, then prefetch each predecessor write
+  // with write intent: the misses on lines another core just released
+  // overlap instead of serializing behind one another.
+  ObjectAsm* objs[kMaxAccessesPerTask];
+  for (std::size_t i = 0; i < count; ++i)
+    objs[i] = &objects_.lookupOrCreate(accesses[i].object);
+  for (std::size_t i = 0; i < count; ++i)
+    if (objs[i]->lastWrite != nullptr)
+      __builtin_prefetch(objs[i]->lastWrite, /*rw=*/1);
+
   // Preconditions that resolve during registration are batched into the
   // guard drop below: one fetch_sub instead of one per resolution.
   std::int32_t resolved = 0;
 
   for (std::size_t i = 0; i < count; ++i) {
-    AccessNode* node = &task->accesses[i];
+    AccessNode* node = ::new (static_cast<void*>(&task->accesses[i]))
+        AccessNode;
     node->task = task;
     node->object = accesses[i].object;
     node->read = accesses[i].isRead();
-
-    ObjectAsm& obj = objects_.lookupOrCreate(node->object);
     if (node->read) {
-      resolved += registerRead(obj, node);
+      resolved += registerRead(*objs[i], node);
     } else {
-      resolved += registerWrite(obj, node);
+      resolved += registerWrite(*objs[i], node);
     }
   }
 
@@ -84,44 +94,37 @@ std::int32_t WaitFreeAsmDeps::registerRead(ObjectAsm& obj,
   AccessNode* write = obj.lastWrite;
   ReadGroup* group =
       write != nullptr ? &write->succGroup : &obj.rootGroup;
-  node->joinedGroup = group;
-  node->groupOwner = write != nullptr ? write->task : nullptr;
+  node->reader.joinedGroup = group;
+  node->reader.groupOwner = write != nullptr ? write->task : nullptr;
+  // Group membership, attached or self-resolved alike, on the line of
+  // `write` this registration reads anyway: the closing write folds the
+  // count into its bias.
+  ++group->registrations;
 
   if (write != nullptr) {
     // Attach to the predecessor write's packed reader list.  CAS success
-    // hands our resolution to the write's completion fetch_or; the
-    // group membership rides the plain attached counter, folded in by
-    // the closing write.  Observing kCompleted instead means the write
-    // already released — resolve ourselves (the acquire is what makes
-    // the writer's side effects visible to this reader's body).  The
-    // only contender is that single completion RMW, so the loop runs at
-    // most twice in practice.
+    // hands our resolution to the write's completion fetch_or.
+    // Observing kCompleted instead means the write already released —
+    // resolve ourselves (the acquire is what makes the writer's side
+    // effects visible to this reader's body) without any RMW.  The only
+    // contender is that single completion RMW, so the loop runs at most
+    // twice in practice.
     std::uintptr_t state = write->state.load(std::memory_order_acquire);
     while ((state & AccessNode::kCompleted) == 0) {
-      node->nextReader = readerListOf(state);
+      node->reader.nextReader = readerListOf(state);
       if (write->state.compare_exchange_weak(
               state, packReader(node, state), std::memory_order_release,
               std::memory_order_acquire)) {
-        ++group->attachedRegistrations;
         return 0;
       }
     }
   }
-
-  // Self-resolved: count ourselves into the group directly.  Relaxed:
-  // the increment publishes nothing; the close's fetch_add and the
-  // drain's fetch_sub carry the ordering.
-  group->pending.fetch_add(1, std::memory_order_relaxed);
   return 1;
 }
 
 std::int32_t WaitFreeAsmDeps::registerWrite(ObjectAsm& obj,
                                             AccessNode* node) {
-  node->state.store(0, std::memory_order_relaxed);
-  node->successor.store(nullptr, std::memory_order_relaxed);
-  node->succGroup.pending.store(0, std::memory_order_relaxed);
-  node->succGroup.closingWrite.store(nullptr, std::memory_order_relaxed);
-  node->succGroup.attachedRegistrations = 0;
+  ::new (static_cast<void*>(&node->succGroup)) ReadGroup;
 
   std::int32_t resolved = 0;
   AccessNode* prev = obj.lastWrite;
@@ -131,14 +134,13 @@ std::int32_t WaitFreeAsmDeps::registerWrite(ObjectAsm& obj,
   // group reference falls to us instead of a landing reader.
   bool groupDrainedAtClose = false;
 
-  // Read-group precondition.  Group membership is `pending` plus the
-  // attached readers only this (serialized) registration path knows
-  // about; outstanding readers = pending + attached, so the drained
-  // check compares against -attached.
+  // Read-group precondition.  Outstanding readers = pending +
+  // registrations (each completed reader subtracted one), so the
+  // drained check compares against -registrations.
   ReadGroup* group =
       prev != nullptr ? &prev->succGroup : &obj.rootGroup;
-  const std::int64_t attached = group->attachedRegistrations;
-  if (group->pending.load(std::memory_order_acquire) == -attached) {
+  const std::int64_t registrations = group->registrations;
+  if (group->pending.load(std::memory_order_acquire) == -registrations) {
     // Every reader that ever joined this group already completed (their
     // memberships are ordered before this serialized registration, and
     // the count only drains from there).  The counter is dead — skip
@@ -149,14 +151,14 @@ std::int32_t WaitFreeAsmDeps::registerWrite(ObjectAsm& obj,
     ++resolved;
     groupDrainedAtClose = true;
   } else {
-    // Close the group, folding the attached readers into the bias.  The
+    // Close the group, folding the registrations into the bias.  The
     // park-then-bias order matters: a reader that observes the bias
     // through the counter's RMW chain also sees `closingWrite`.
     group->closingWrite.store(node, std::memory_order_release);
     const std::int64_t beforeClose =
-        group->pending.fetch_add(ReadGroup::kClosedBias + attached,
+        group->pending.fetch_add(ReadGroup::kClosedBias + registrations,
                                  std::memory_order_acq_rel);
-    if (beforeClose == -attached) {
+    if (beforeClose == -registrations) {
       ++resolved;
       groupDrainedAtClose = true;
     }
@@ -164,6 +166,14 @@ std::int32_t WaitFreeAsmDeps::registerWrite(ObjectAsm& obj,
 
   // Write-chain precondition.
   if (prev == nullptr) {
+    ++resolved;
+  } else if (prev->state.load(std::memory_order_acquire) &
+             AccessNode::kCompleted) {
+    // Already released.  Its completion RMW returned without
+    // kHasSuccessor, and release reads that bit only from its own RMW,
+    // so nothing will ever follow a link we park: resolve the edge
+    // here, with no store and no RMW.  The acquire orders this write's
+    // body after the predecessor's.
     ++resolved;
   } else {
     prev->successor.store(node, std::memory_order_release);
@@ -189,7 +199,7 @@ void WaitFreeAsmDeps::release(DepTask* task, std::size_t cpu) {
     AccessNode* node = &task->accesses[i];
     if (node->read) {
       // Drain our group so the write that closed it can go.
-      ReadGroup* group = node->joinedGroup;
+      ReadGroup* group = node->reader.joinedGroup;
       const std::int64_t remaining =
           group->pending.fetch_sub(1, std::memory_order_acq_rel) - 1;
       if (remaining == ReadGroup::kClosedBias) {
@@ -201,7 +211,8 @@ void WaitFreeAsmDeps::release(DepTask* task, std::size_t cpu) {
         // group again, so the owner's group reference dies with us.
         // (An unclosed group's owner is still pinned as lastWrite; the
         // root group has no owner.)
-        if (node->groupOwner != nullptr) node->groupOwner->dropRef();
+        if (node->reader.groupOwner != nullptr)
+          node->reader.groupOwner->dropRef();
       }
     } else {
       // One RMW completes the write: it closes the reader list (any
@@ -215,8 +226,8 @@ void WaitFreeAsmDeps::release(DepTask* task, std::size_t cpu) {
       AccessNode* reader = readerListOf(state);
       AccessNode* ordered = nullptr;
       while (reader != nullptr) {
-        AccessNode* next = reader->nextReader;
-        reader->nextReader = ordered;
+        AccessNode* next = reader->reader.nextReader;
+        reader->reader.nextReader = ordered;
         ordered = reader;
         reader = next;
       }
@@ -224,7 +235,7 @@ void WaitFreeAsmDeps::release(DepTask* task, std::size_t cpu) {
       // complete, and eagerly reclaim the reader's descriptor — and the
       // link lives inside it.
       while (ordered != nullptr) {
-        AccessNode* next = ordered->nextReader;
+        AccessNode* next = ordered->reader.nextReader;
         resolveOne(ordered->task, cpu);
         ordered = next;
       }
@@ -253,7 +264,7 @@ void WaitFreeAsmDeps::reset() {
     }
     obj.rootGroup.pending.store(0, std::memory_order_relaxed);
     obj.rootGroup.closingWrite.store(nullptr, std::memory_order_relaxed);
-    obj.rootGroup.attachedRegistrations = 0;
+    obj.rootGroup.registrations = 0;
   });
 }
 

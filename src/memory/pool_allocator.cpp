@@ -15,12 +15,28 @@ namespace {
 
 /// Size classes (header included), multiples of 16 so every block — and
 /// therefore every user pointer at block+16 — keeps fundamental
-/// alignment.  ~1.5x spacing caps internal fragmentation at ~33%.
+/// alignment; from 64 up, whole lines, so a user pointer that starts
+/// one block on a line starts every block of the slab on one.  ~1.5x
+/// spacing caps internal fragmentation at ~33% past 128 B.
 constexpr std::array<std::size_t, PoolAllocator::kNumClasses> kClassSizes =
-    {32,   48,   64,   96,   128,  192,  256,  384,  512,
+    {32,   48,   64,   128,  192,  256,  384,  512,
      768,  1024, 1536, 2048, 3072, 4096, 6144, 8192};
 
 static_assert(kClassSizes.back() == PoolAllocator::kMaxBlockSize);
+
+constexpr std::size_t kLine = Allocator::kLineBytes;
+
+/// A slab's first block starts this far into its line-aligned chunk, so
+/// the block's user area (block + kHeaderBytes) starts on a line.
+constexpr std::size_t kSlabLead = kLine - PoolAllocator::kHeaderBytes;
+
+constexpr bool lineMultiplesFromOneLine() {
+  for (const std::size_t size : kClassSizes)
+    if (size >= kLine && size % kLine != 0) return false;
+  return true;
+}
+static_assert(lineMultiplesFromOneLine(),
+              "every class of a line or more must be whole lines");
 
 /// need/16 -> class index, precomputed so the allocation fast path does
 /// one table load instead of a class scan.
@@ -112,12 +128,63 @@ class PoolThreadCache {
 
 namespace {
 
-/// The calling thread's cache for the (singleton) pool.  The holder's
-/// destructor retires the cache at thread exit so its blocks go back to
+/// Publish the chain head..tail of `count` blocks (linked through their
+/// link words) to `owner`'s remote-free list with one release-CAS.
+void pushRemote(PoolThreadCache* owner, void* head, void* tail,
+                std::size_t count) {
+  void* top = owner->remoteHead.load(std::memory_order_relaxed);
+  do {
+    writeLink(tail, top);
+  } while (!owner->remoteHead.compare_exchange_weak(
+      top, head, std::memory_order_release, std::memory_order_relaxed));
+  owner->remotePending.fetch_add(count, std::memory_order_relaxed);
+}
+
+/// The calling thread's cache for the (singleton) pool, and its batch of
+/// unpublished remote frees.  The holder's destructor publishes the
+/// batch and retires the cache at thread exit, so its blocks go back to
 /// the depot instead of idling in dead magazines.
 thread_local struct TlsCacheSlot {
   PoolThreadCache* cache = nullptr;
+
+  /// Blocks this thread freed for `batchOwner` and has not published
+  /// yet, chained through their link words from `batchHead` to
+  /// `batchTail`.
+  PoolThreadCache* batchOwner = nullptr;
+  void* batchHead = nullptr;
+  void* batchTail = nullptr;
+  std::size_t batchCount = 0;
+
+  /// Set once this thread's TLS teardown began: later frees publish at
+  /// once, since nothing would flush a batch after this.
+  bool exited = false;
+
+  void freeRemote(PoolThreadCache* owner, void* block) {
+    if (exited) {
+      pushRemote(owner, block, block, 1);
+      return;
+    }
+    if (owner != batchOwner) {
+      publishBatch();
+      batchOwner = owner;
+    }
+    writeLink(block, batchHead);
+    if (batchHead == nullptr) batchTail = block;
+    batchHead = block;
+    if (++batchCount == PoolAllocator::kRemoteBatch) publishBatch();
+  }
+
+  void publishBatch() {
+    if (batchCount == 0) return;
+    pushRemote(batchOwner, batchHead, batchTail, batchCount);
+    batchHead = nullptr;
+    batchTail = nullptr;
+    batchCount = 0;
+  }
+
   ~TlsCacheSlot() {
+    publishBatch();
+    exited = true;
     if (cache != nullptr) PoolThreadCache::retire(cache);
     // Null the slot: a pool free from a later-running TLS destructor on
     // this thread must take the remote path, not stash into a cache
@@ -130,15 +197,6 @@ thread_local struct TlsCacheSlot {
 /// outside the cache so it survives cache adoption and is readable
 /// before a cache exists.
 thread_local std::size_t tlsDepotShard = 0;
-
-void pushRemote(PoolThreadCache* owner, void* block) {
-  void* head = owner->remoteHead.load(std::memory_order_relaxed);
-  do {
-    writeLink(block, head);
-  } while (!owner->remoteHead.compare_exchange_weak(
-      head, block, std::memory_order_release, std::memory_order_relaxed));
-  owner->remotePending.fetch_add(1, std::memory_order_relaxed);
-}
 
 }  // namespace
 
@@ -183,7 +241,8 @@ void PoolAllocator::setThreadDomain(std::size_t domain) {
 void* PoolAllocator::allocate(std::size_t size) {
   // Compare before adding the header: size + kHeaderBytes would wrap
   // for requests near SIZE_MAX and route them to a tiny class.
-  if (size > kMaxPooledSize) return ::operator new(size);
+  if (size > kMaxPooledSize)
+    return ::operator new(size, std::align_val_t{kLineBytes});
   const std::size_t need = size + kHeaderBytes;
 
   const std::size_t cls = classIndexFor(need);
@@ -195,13 +254,17 @@ void* PoolAllocator::allocate(std::size_t size) {
   auto* hdr = static_cast<BlockHeader*>(block);
   assert(hdr->canary == BlockHeader::kCanary);
   assert(hdr->classIdx == cls);
-  hdr->owner = &cache;
+  // Re-stamp only on a change of owner: the header shares its line with
+  // the previous block's tail, and the thread that freed the block last
+  // read it, so a store of the same value would still take the line
+  // away from that thread.
+  if (hdr->owner != &cache) hdr->owner = &cache;
   return static_cast<char*>(block) + kHeaderBytes;
 }
 
 void PoolAllocator::deallocate(void* ptr, std::size_t size) {
   if (size > kMaxPooledSize) {
-    ::operator delete(ptr, size);
+    ::operator delete(ptr, size, std::align_val_t{kLineBytes});
     return;
   }
 
@@ -226,8 +289,9 @@ void PoolAllocator::deallocate(void* ptr, std::size_t size) {
     stashInMagazine(*mine, cls, block);
   } else {
     // Cross-thread free: hand the block back to its owner's remote
-    // list.  One release-CAS, no shared lock — the crossFree path.
-    pushRemote(hdr->owner, block);
+    // list, in batches — one release-CAS per kRemoteBatch blocks, no
+    // shared lock: the crossFree path.
+    tlsCacheSlot.freeRemote(hdr->owner, block);
   }
 }
 
@@ -306,12 +370,13 @@ void PoolAllocator::carveChunk(std::size_t shard, std::size_t cls) {
   // Never carve less than a refill batch, so one carve always satisfies
   // one refill even for the largest classes.
   if (blocks < kRefillBatch) blocks = kRefillBatch;
-  const std::size_t bytes = blocks * blockSize;
+  const std::size_t bytes = kSlabLead + blocks * blockSize;
 
-  // operator new returns max_align_t-aligned storage and the class
-  // sizes are multiples of 16, so every carved block (and its +16 user
-  // pointer) keeps the kAlignment guarantee.
-  char* chunk = static_cast<char*>(::operator new(bytes));
+  // A line-aligned chunk with the first block kSlabLead in: its user
+  // pointer starts on a line, and so does every later one in a class of
+  // whole lines (the others keep kAlignment: sizes are multiples of 16).
+  char* chunk = static_cast<char*>(
+      ::operator new(bytes, std::align_val_t{kLineBytes}));
   {
     std::lock_guard<SpinLock> guard(chunkLock_);
     chunks_.push_back(chunk);
@@ -320,7 +385,7 @@ void PoolAllocator::carveChunk(std::size_t shard, std::size_t cls) {
 
   Depot& depot = depots_[shard][cls];
   for (std::size_t i = 0; i < blocks; ++i) {
-    void* block = chunk + i * blockSize;
+    void* block = chunk + kSlabLead + i * blockSize;
     auto* hdr = static_cast<BlockHeader*>(block);
     hdr->owner = nullptr;
     hdr->classIdx = static_cast<std::uint32_t>(cls);

@@ -185,13 +185,16 @@ std::size_t Runtime::callerCpu() const {
 }
 
 Task* Runtime::allocateTask() {
-  static_assert(alignof(Task) <= Allocator::kAlignment);
+  // Both allocators start a request of a line or more on a line, which
+  // is all the one-line access nodes need.
+  static_assert(alignof(Task) == Allocator::kLineBytes &&
+                sizeof(Task) >= Allocator::kLineBytes);
   // Default-init, NOT value-init: Task() would zero the whole
-  // descriptor (1KB+ of access-node storage) before the member
-  // initializers run; the registration path initializes every access
-  // field it uses (see dep_task.hpp).
+  // descriptor (every access node) before the member initializers run;
+  // the registration path initializes every access field it uses (see
+  // dep_task.hpp).
   Task* task = ::new (alloc_->allocate(sizeof(Task))) Task;
-  task->runtime = this;
+  task->owner = this;
   // One execution reference, dropped after the completion path releases
   // the task's dependencies; the deps layer adds its own for every way
   // a chain can still reach the access nodes.  Whoever drops the last
@@ -204,7 +207,7 @@ Task* Runtime::allocateTask() {
 
 void Runtime::reclaimThunk(DepTask& dep) {
   Task& task = static_cast<Task&>(dep);
-  Runtime* self = static_cast<Runtime*>(task.runtime);
+  Runtime* self = static_cast<Runtime*>(task.owner);
   task.~Task();
   self->alloc_->deallocate(&task, sizeof(Task));
   self->bump(&SlotCounters::live, -1);

@@ -48,6 +48,7 @@ void PTLockScheduler::addReadyTask(Task* task, std::size_t cpu) {
       emitDrain(cpu,
                 addBuffers_.drainDomain(*policy_, topo_.domainOfSlot(cpu)));
       policy_->addTask(task, cpu);
+      addBuffers_.notePolicyState(*policy_);
       lock_.unlock();
       return;
     }
@@ -69,7 +70,8 @@ Task* PTLockScheduler::getReadyTask(std::size_t cpu) {
   // and that wasted poll is precisely the cost the DTLock removes.  No
   // contention event here: get-side lock misses happen at poll frequency
   // and the starvation they cause is already visible as WorkerIdle*.
-  if (!lock_.tryLock()) return nullptr;
+  // An idle poll only reads: nothing anywhere, so no tryLock RMW.
+  if (addBuffers_.nothingReady() || !lock_.tryLock()) return nullptr;
   // Getter's own-domain shard first (bounded): the sharded §3.1 drain.
   // The flat everything-pass runs only when the policy is dry, so a
   // domain with producers but no getters can never strand its adds.
@@ -80,6 +82,7 @@ Task* PTLockScheduler::getReadyTask(std::size_t cpu) {
     emitDrain(cpu, addBuffers_.drainInto(*policy_));
     task = policy_->getTask(cpu);
   }
+  addBuffers_.notePolicyState(*policy_);
   lock_.unlock();
   return task;
 }

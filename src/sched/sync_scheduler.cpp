@@ -42,11 +42,14 @@ void SyncScheduler::addReadyTask(Task* task, std::size_t cpu) {
   emitDrain(cpu, addBuffers_.drainDomain(*policy_, topo_.domainOfSlot(cpu)));
   policy_->addTask(task, cpu);
   serveWaiters(cpu);
+  addBuffers_.notePolicyState(*policy_);
   lock_.unlock();
 }
 
 Task* SyncScheduler::getReadyTask(std::size_t cpu) {
   assert(cpu < addBuffers_.numCpus());
+  // Idle poll: nothing anywhere, so leave the lock's lines alone.
+  if (addBuffers_.nothingReady()) return nullptr;
   std::uintptr_t item = 0;
   if (!lock_.lockOrDelegate(cpu, item)) {
     return reinterpret_cast<Task*>(item);  // served by the lock holder
@@ -64,6 +67,7 @@ Task* SyncScheduler::getReadyTask(std::size_t cpu) {
     task = policy_->getTask(cpu);
   }
   serveWaiters(cpu);
+  addBuffers_.notePolicyState(*policy_);
   lock_.unlock();
   return task;
 }

@@ -177,6 +177,77 @@ TEST_P(EveryDepsSystemTest, ResetAllowsDescriptorReuse) {
   deps_->release(&t1, 0);
 }
 
+TEST_P(EveryDepsSystemTest, ReaderAfterCompletedWriteStillHoldsNextWrite) {
+  // A reader registering after its write completed resolves at
+  // registration (the wait-free system with loads and a plain count
+  // only), yet it is still a member of that write's read group: the
+  // next write must wait for it.
+  long long x = 0;
+  DepTask writer1, reader, writer2;
+  reg(writer1, {out(x)});
+  deps_->release(&writer1, 0);
+  reg(reader, {in(x)});
+  EXPECT_TRUE(rec_.ready(&reader));
+  reg(writer2, {inout(x)});
+  EXPECT_FALSE(rec_.ready(&writer2));
+  deps_->release(&reader, 0);
+  EXPECT_TRUE(rec_.ready(&writer2));
+  deps_->release(&writer2, 0);
+
+  for (DepTask* t : {&writer1, &reader, &writer2})
+    EXPECT_EQ(rec_.counts[t], 1);
+}
+
+TEST_P(EveryDepsSystemTest, WriteAfterCompletedWriteIsReadyAtRegistration) {
+  // No readers between them: the edge to a completed write resolves at
+  // registration, and the chain still continues behind the new write.
+  long long x = 0;
+  DepTask t0, t1, t2;
+  reg(t0, {inout(x)});
+  deps_->release(&t0, 0);
+  reg(t1, {out(x)});
+  EXPECT_EQ(rec_.order, (std::vector<DepTask*>{&t0, &t1}));
+  reg(t2, {inout(x)});
+  EXPECT_FALSE(rec_.ready(&t2));
+  deps_->release(&t1, 0);
+  EXPECT_TRUE(rec_.ready(&t2));
+  deps_->release(&t2, 0);
+
+  for (DepTask* t : {&t0, &t1, &t2}) EXPECT_EQ(rec_.counts[t], 1);
+}
+
+TEST_P(EveryDepsSystemTest, RootGroupReadersThenWrite) {
+  // Readers before any write form the object's root group.  One of them
+  // finishes before the write registers, two after: the write waits
+  // for exactly the two still running.  A reader after the write chains
+  // behind it, and a write after every reader finished is ready at once.
+  long long x = 0;
+  DepTask r0, r1, r2, writer, r3, lastWriter;
+  reg(r0, {in(x)});
+  reg(r1, {in(x)});
+  reg(r2, {in(x)});
+  EXPECT_EQ(rec_.order, (std::vector<DepTask*>{&r0, &r1, &r2}));
+  deps_->release(&r1, 0);
+  reg(writer, {out(x)});
+  EXPECT_FALSE(rec_.ready(&writer));
+  deps_->release(&r0, 0);
+  EXPECT_FALSE(rec_.ready(&writer));
+  deps_->release(&r2, 0);
+  EXPECT_TRUE(rec_.ready(&writer));
+
+  reg(r3, {in(x)});
+  EXPECT_FALSE(rec_.ready(&r3));
+  deps_->release(&writer, 0);
+  EXPECT_TRUE(rec_.ready(&r3));
+  deps_->release(&r3, 0);
+  reg(lastWriter, {inout(x)});
+  EXPECT_TRUE(rec_.ready(&lastWriter));
+  deps_->release(&lastWriter, 0);
+
+  for (DepTask* t : {&r0, &r1, &r2, &writer, &r3, &lastWriter})
+    EXPECT_EQ(rec_.counts[t], 1);
+}
+
 TEST_P(EveryDepsSystemTest, ReportsItsName) {
   EXPECT_STREQ(deps_->name(), GetParam() == DepsKind::WaitFreeAsm
                                   ? "waitfree_asm"

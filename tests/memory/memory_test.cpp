@@ -161,6 +161,74 @@ TEST(PoolAllocatorTest, RemoteFreesDrainOnRefill) {
   });
 }
 
+TEST(PoolAllocatorTest, RemoteFreeBatchesReachTheirOwner) {
+  // One freeing thread holds the blocks it frees for another owner and
+  // publishes them on a full batch, when the owner changes, and at its
+  // exit.  None is lost: the owner gets back exactly its blocks.
+  PoolAllocator& pool = PoolAllocator::instance();
+  constexpr std::size_t kSize = 6000;
+  constexpr std::size_t kBatch = PoolAllocator::kRemoteBatch;
+  constexpr std::size_t kOnOwnerChange = 3;
+  constexpr std::size_t kAtExit = 5;
+
+  void* otherOwners = pool.allocate(kSize);  // owned by this thread
+  const std::size_t otherBefore = pool.testRemotePendingOnCaller();
+
+  onFreshThread([&] {
+    std::vector<void*> blocks(kBatch + kOnOwnerChange + kAtExit);
+    for (void*& p : blocks) p = pool.allocate(kSize);
+
+    std::atomic<int> step{0};
+    const auto waitFor = [&step](int value) {
+      while (step.load(std::memory_order_acquire) != value)
+        std::this_thread::yield();
+    };
+    std::thread freer([&] {
+      std::size_t next = 0;
+      while (next < kBatch - 1) pool.deallocate(blocks[next++], kSize);
+      step.store(1, std::memory_order_release);
+      waitFor(2);
+      pool.deallocate(blocks[next++], kSize);  // fills the batch
+      step.store(3, std::memory_order_release);
+      waitFor(4);
+      for (std::size_t i = 0; i < kOnOwnerChange; ++i)
+        pool.deallocate(blocks[next++], kSize);
+      pool.deallocate(otherOwners, kSize);  // another owner
+      step.store(5, std::memory_order_release);
+      waitFor(6);
+      while (next < blocks.size()) pool.deallocate(blocks[next++], kSize);
+    });
+
+    waitFor(1);
+    EXPECT_EQ(pool.testRemotePendingOnCaller(), 0u) << "published early";
+    step.store(2, std::memory_order_release);
+    waitFor(3);
+    EXPECT_EQ(pool.testRemotePendingOnCaller(), kBatch);
+    step.store(4, std::memory_order_release);
+    waitFor(5);
+    EXPECT_EQ(pool.testRemotePendingOnCaller(), kBatch + kOnOwnerChange);
+    step.store(6, std::memory_order_release);
+    freer.join();
+    EXPECT_EQ(pool.testRemotePendingOnCaller(), blocks.size());
+
+    // Empty the magazine, then refill from the remote list: exactly the
+    // freed blocks come back.
+    std::vector<void*> warm;
+    while (pool.testLocalMagazineFill(kSize) > 0)
+      warm.push_back(pool.allocate(kSize));
+    std::set<void*> back;
+    for (std::size_t i = 0; i < blocks.size(); ++i)
+      back.insert(pool.allocate(kSize));
+    EXPECT_EQ(pool.testRemotePendingOnCaller(), 0u);
+    EXPECT_EQ(back, std::set<void*>(blocks.begin(), blocks.end()));
+    for (void* p : back) pool.deallocate(p, kSize);
+    for (void* w : warm) pool.deallocate(w, kSize);
+  });
+  // The owner change flushed the earlier batch; the block for this
+  // thread went out when the next free switched owners back.
+  EXPECT_EQ(pool.testRemotePendingOnCaller(), otherBefore + 1);
+}
+
 TEST(PoolAllocatorTest, ReuseAfterFreeIsPoisoned) {
   PoolAllocator& pool = PoolAllocator::instance();
   const bool wasPoisoning = pool.poisoningEnabled();

@@ -7,6 +7,10 @@
 // dag_random benchmark workload's, sized for a test instead of a timing
 // loop.
 //
+// The matrix: both dependency systems x 4 schedulers x pool on/off x the
+// 3 ready-queue policies (Fifo only for the work-stealing scheduler,
+// which has no policy).
+//
 // The graphs: 1-8 accesses per task over 16 objects, in/out/inout
 // drawn uniformly, so chains, reader fan-outs and write-after-read edges
 // all appear; every third task captures more than the descriptor's
@@ -196,12 +200,14 @@ std::vector<std::uint64_t> fuzzSeeds() {
   return {1, 2, 3, 4, 5, 6};
 }
 
-RuntimeConfig fuzzConfig(DepsKind deps, SchedulerKind sched, bool usePool) {
+RuntimeConfig fuzzConfig(DepsKind deps, SchedulerKind sched, bool usePool,
+                         PolicyKind policy = PolicyKind::Fifo) {
   RuntimeConfig config =
       optimizedConfig(makeTopology(MachinePreset::Host, 4));
   config.deps = deps;
   config.scheduler = sched;
   config.usePoolAllocator = usePool;
+  config.policy = policy;
   return config;
 }
 
@@ -219,32 +225,53 @@ struct ArmedFailpoint {
   ArmedFailpoint& operator=(const ArmedFailpoint&) = delete;
 };
 
-using Matrix = std::tuple<DepsKind, SchedulerKind, bool>;
+using Matrix = std::tuple<DepsKind, SchedulerKind, bool, PolicyKind>;
 
 class DagFuzzMatrixTest : public ::testing::TestWithParam<Matrix> {};
 
+/// Every combination, except the work-stealing scheduler with a policy
+/// other than the default: it has no policy, so those would rerun the
+/// same configuration.
+std::vector<Matrix> fuzzMatrix() {
+  std::vector<Matrix> matrix;
+  for (const DepsKind deps :
+       {DepsKind::WaitFreeAsm, DepsKind::FineGrainedLocks})
+    for (const SchedulerKind sched :
+         {SchedulerKind::SyncDelegation, SchedulerKind::PTLockCentral,
+          SchedulerKind::CentralMutex, SchedulerKind::WorkStealing})
+      for (const bool usePool : {false, true})
+        for (const PolicyKind policy :
+             {PolicyKind::Fifo, PolicyKind::Lifo, PolicyKind::NumaFifo})
+          if (policy == PolicyKind::Fifo ||
+              sched != SchedulerKind::WorkStealing)
+            matrix.emplace_back(deps, sched, usePool, policy);
+  return matrix;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Graphs, DagFuzzMatrixTest,
-    ::testing::Combine(::testing::Values(DepsKind::WaitFreeAsm,
-                                         DepsKind::FineGrainedLocks),
-                       ::testing::Values(SchedulerKind::SyncDelegation,
-                                         SchedulerKind::PTLockCentral,
-                                         SchedulerKind::CentralMutex,
-                                         SchedulerKind::WorkStealing),
-                       ::testing::Bool()),
+    Graphs, DagFuzzMatrixTest, ::testing::ValuesIn(fuzzMatrix()),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) == DepsKind::WaitFreeAsm
+      // The default Fifo policy keeps the name it had before the policy
+      // dimension existed.
+      const PolicyKind policy = std::get<3>(info.param);
+      std::string name = std::get<0>(info.param) == DepsKind::WaitFreeAsm
                              ? "WaitFreeAsm"
-                             : "FineGrainedLocks") +
-             "_" + schedulerKindName(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_PoolAlloc" : "_SystemAlloc");
+                             : "FineGrainedLocks";
+      name += '_';
+      name += schedulerKindName(std::get<1>(info.param));
+      name += std::get<2>(info.param) ? "_PoolAlloc" : "_SystemAlloc";
+      if (policy != PolicyKind::Fifo) {
+        name += '_';
+        name += policyKindName(policy);
+      }
+      return name;
     });
 
 // Every seed's graph on one runtime, so later graphs also run on
 // recycled descriptors and reset chains.
 TEST_P(DagFuzzMatrixTest, MatchesSerialProgramOrder) {
-  const auto [deps, sched, usePool] = GetParam();
-  Runtime rt(fuzzConfig(deps, sched, usePool));
+  const auto [deps, sched, usePool, policy] = GetParam();
+  Runtime rt(fuzzConfig(deps, sched, usePool, policy));
   for (const std::uint64_t seed : fuzzSeeds()) {
     DagFuzz graph(seed);
     graph.spawnAll(rt);

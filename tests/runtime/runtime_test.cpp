@@ -13,6 +13,9 @@
 #include <tuple>
 #include <vector>
 
+#include "instr/tracer.hpp"
+#include "memory/pool_allocator.hpp"
+
 namespace ats {
 namespace {
 
@@ -561,6 +564,53 @@ TEST_P(EagerReclamationTest, NoTaskwaitChainKeepsDescriptorsBounded) {
   EXPECT_EQ(x, kWaves * kTasksPerWave);
   EXPECT_EQ(rt.liveDescriptors(), 0u)
       << "taskwait quiescence left descriptors live";
+}
+
+// One cache line per access node, a line-aligned descriptor, and the
+// descriptor's pool class: the layout the deps and pool layers rely on.
+static_assert(sizeof(AccessNode) == 64 && alignof(AccessNode) == 64);
+static_assert(alignof(Task) == 64);
+static_assert(sizeof(Task) <= 704);
+
+/// Every descriptor either allocator hands the runtime starts on a
+/// cache line.  The traced TaskStart payload is the descriptor address,
+/// so the check covers the runtime's own allocations, not a replica.
+class DescriptorLayoutTest : public ::testing::TestWithParam<bool> {};
+
+INSTANTIATE_TEST_SUITE_P(Allocators, DescriptorLayoutTest,
+                         ::testing::Bool(), [](const auto& info) {
+                           return info.param ? std::string("PoolAlloc")
+                                             : std::string("SystemAlloc");
+                         });
+
+TEST_P(DescriptorLayoutTest, EveryDescriptorStartsOnACacheLine) {
+  EXPECT_LE(PoolAllocator::blockSizeFor(sizeof(Task)), 768u);
+
+  constexpr std::size_t kWorkers = 3;
+  constexpr int kTasks = 2000;
+  Tracer tracer(kWorkers, 1u << 14);
+  RuntimeConfig config = testConfig(DepsKind::WaitFreeAsm,
+                                    SchedulerKind::SyncDelegation, kWorkers,
+                                    GetParam());
+  config.tracer = &tracer;
+  {
+    Runtime rt(config);
+    std::array<long long, 16> objs{};
+    for (int i = 0; i < kTasks; ++i) {
+      long long& obj = objs[static_cast<std::size_t>(i) % objs.size()];
+      rt.spawn({inout(obj)}, [&obj] { ++obj; });
+    }
+    rt.taskwait();
+  }
+
+  std::size_t starts = 0;
+  for (const TraceRecord& record : tracer.collect()) {
+    if (record.event != TraceEvent::TaskStart) continue;
+    ++starts;
+    EXPECT_EQ(record.payload % 64, 0u)
+        << "descriptor at " << record.payload << " is not line-aligned";
+  }
+  EXPECT_EQ(starts, static_cast<std::size_t>(kTasks));
 }
 
 /// The per-machine §6.1 configs must agree on every default except the

@@ -131,6 +131,27 @@ TEST(SyncSchedulerTest, OverflowDrainLosesNothingAndKeepsOrder) {
   EXPECT_EQ(sched->getReadyTask(1), nullptr);
 }
 
+/// An idle getter skips the lock only when every ring is empty AND the
+/// policy was empty at the last unlock.  One get moves a whole ring
+/// into the policy and takes one task; the rest, now only in the
+/// policy, must still come out of later gets on other CPUs.
+TEST_P(EverySchedulerTest, TasksLeftInThePolicyOutliveEmptyRings) {
+  auto sched = makeByName(GetParam(), 4);
+  constexpr std::size_t kTasks = 10;  // under every drain burst cap
+  std::vector<Task> pool(kTasks);
+  for (auto& t : pool) sched->addReadyTask(&t, 0);
+  std::vector<Task*> got;
+  if (Task* t = sched->getReadyTask(1)) got.push_back(t);
+  for (std::size_t cpu = 2; got.size() < kTasks; cpu = 5 - cpu) {
+    Task* t = sched->getReadyTask(cpu);
+    ASSERT_NE(t, nullptr) << "a task was stranded after " << got.size();
+    got.push_back(t);
+  }
+  std::sort(got.begin(), got.end());
+  for (std::size_t i = 0; i < kTasks; ++i) EXPECT_EQ(got[i], &pool[i]);
+  EXPECT_EQ(sched->getReadyTask(3), nullptr);
+}
+
 TEST(SyncSchedulerTest, PerCpuBuffersDrainFromAnyGetter) {
   auto sched = std::make_unique<SyncScheduler>(
       testTopo(4), std::make_unique<FifoPolicy>(), 64);
@@ -317,6 +338,7 @@ TEST(PolicyTest, BulkGetTasksMatchesRepeatedGetTask) {
     FifoPolicy inner;
     void addTask(Task* t, std::size_t cpu) override { inner.addTask(t, cpu); }
     Task* getTask(std::size_t cpu) override { return inner.getTask(cpu); }
+    bool hasTasks() override { return inner.hasTasks(); }
     // getTasks NOT overridden: runs SchedulerPolicy's default loop.
     const char* policyName() const override { return "default_loop"; }
   };

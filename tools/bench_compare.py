@@ -12,10 +12,10 @@ primary metric (items_per_second when the bench reports it, real_time
 otherwise) and the relative delta.  Positive deltas mean the NEW run is
 better: items/sec counts up, time counts down.  Under
 --benchmark_repetitions a benchmark appears as several same-named
-iteration rows plus mean/median/stddev aggregates; the tool averages
-the iteration rows per name (equivalent to the mean aggregate) so no
-single noisy repetition decides a delta and aggregates never
-double-count.
+iteration rows plus mean/median/stddev aggregates; the tool takes the
+median of the iteration rows per name, so no single noisy repetition
+decides a delta (a mean follows one outlier; on a 4-core host single
+rows swing by up to 70%) and aggregates never double-count.
 
 Absolute numbers only compare within one host class, so the tool exits
 2 without comparing anything when the two files' `context.num_cpus`
@@ -31,6 +31,7 @@ Stdlib only; no third-party deps.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -39,11 +40,12 @@ def load_benchmarks(path):
 
     num_cpus comes from the file's context block (None when absent).
     Same-named iteration rows (one per --benchmark_repetitions run) are
-    averaged; aggregate rows are skipped so they cannot double-count.
+    reduced to their median; aggregate rows are skipped so they cannot
+    double-count.
     """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
-    sums = {}
+    rows = {}
     for bench in data.get("benchmarks", []):
         # Aggregates carry run_type == "aggregate"; plain runs either say
         # "iteration" or (older libbenchmark) omit the field.
@@ -58,13 +60,13 @@ def load_benchmarks(path):
             value, kind = float(bench["real_time"]), bench.get("time_unit", "ns")
         else:
             continue
-        total, count, prev_kind = sums.get(name, (0.0, 0, kind))
+        values, prev_kind = rows.setdefault(name, ([], kind))
         if prev_kind != kind:
             continue  # metric kind changed mid-file; keep the first kind
-        sums[name] = (total + value, count + 1, kind)
+        values.append(value)
     return data.get("context", {}).get("num_cpus"), {
-        name: (total / count, kind)
-        for name, (total, count, kind) in sums.items()
+        name: (statistics.median(values), kind)
+        for name, (values, kind) in rows.items()
     }
 
 
