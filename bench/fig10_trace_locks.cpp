@@ -15,6 +15,7 @@
 // Trace files (CTF-lite binary + text rendering) are written next to the
 // binary for inspection with examples/trace_inspection.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "apps/app.hpp"
@@ -29,10 +30,10 @@ using namespace ats;
 namespace {
 
 TraceAnalysis runVariant(const char* label, SchedulerKind sched,
-                         std::size_t threads, const std::string& traceDir) {
+                         const Topology& topo, const std::string& traceDir) {
+  const std::size_t threads = topo.numCpus;
   Tracer tracer(threads, 1u << 18);
-  RuntimeConfig cfg = optimizedConfig(makeTopology(MachinePreset::Host,
-                                                   threads));
+  RuntimeConfig cfg = optimizedConfig(topo);
   cfg.scheduler = sched;
   cfg.tracer = &tracer;
 
@@ -68,16 +69,16 @@ TraceAnalysis runVariant(const char* label, SchedulerKind sched,
 
 }  // namespace
 
-int main() {
-  const std::size_t threads = envSize("ATS_THREADS", 4);
+int main() try {
+  const Topology topo = makeTopology(MachinePreset::Host, envThreads(4));
   const std::string traceDir = envString("ATS_TRACE_DIR", ".");
   std::printf("# fig10: scheduler lock comparison under fine-grained "
-              "miniAMR flood (%zu threads)\n\n", threads);
+              "miniAMR flood (%zu threads)\n\n", topo.numCpus);
 
   const TraceAnalysis dt =
-      runVariant("dtlock", SchedulerKind::SyncDelegation, threads, traceDir);
+      runVariant("dtlock", SchedulerKind::SyncDelegation, topo, traceDir);
   const TraceAnalysis pt =
-      runVariant("ptlock", SchedulerKind::PTLockCentral, threads, traceDir);
+      runVariant("ptlock", SchedulerKind::PTLockCentral, topo, traceDir);
 
   std::printf("# paper claim: the PTLock variant starves cores; the "
               "DTLock variant keeps them fed\n");
@@ -87,4 +88,7 @@ int main() {
               static_cast<unsigned long long>(dt.serveCount),
               static_cast<unsigned long long>(dt.drainCount));
   return 0;
+} catch (const std::out_of_range& e) {  // envThreads' limit
+  std::fprintf(stderr, "fig10: %s\n", e.what());
+  return 2;
 }

@@ -10,6 +10,7 @@
 // the tracer's kernel stream — see DESIGN.md for why this preserves the
 // measurement) and report the analyzer's irq/serve-gap correlation.
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "apps/app.hpp"
@@ -22,15 +23,15 @@
 
 using namespace ats;
 
-int main() {
-  const std::size_t threads = envSize("ATS_THREADS", 4);
+int main() try {
+  const Topology topo = makeTopology(MachinePreset::Host, envThreads(4));
+  const std::size_t threads = topo.numCpus;
   const std::string traceDir = envString("ATS_TRACE_DIR", ".");
   std::printf("# fig11: OS-noise effect on the scheduler "
               "(%zu threads, synthetic irq bursts)\n\n", threads);
 
   Tracer tracer(threads, 1u << 18);
-  RuntimeConfig cfg =
-      optimizedConfig(makeTopology(MachinePreset::Host, threads));
+  RuntimeConfig cfg = optimizedConfig(topo);
   cfg.tracer = &tracer;
 
   auto app = makeApp("dotprod", envFlag("ATS_FULL") ? AppScale::Full
@@ -70,4 +71,7 @@ int main() {
               "irq_time=%.1fus\n",
               a.maxServeGapUs, a.maxServeGapDuringIrqUs, a.irqTotalUs);
   return 0;
+} catch (const std::out_of_range& e) {  // envThreads' limit
+  std::fprintf(stderr, "fig11: %s\n", e.what());
+  return 2;
 }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "common/env.hpp"
@@ -61,7 +62,7 @@ SweepConfig resolveSweepConfig(MachinePreset preset) {
     defaultThreads = allowed;
     cfg.uncappedThreads = wanted;
   }
-  const std::size_t threads = envSize("ATS_THREADS", 0);
+  const std::size_t threads = envThreads(0);
   if (threads != 0) cfg.uncappedThreads = 0;
   cfg.topo = makeTopology(preset, threads != 0 ? threads : defaultThreads);
   cfg.reps = envSize("ATS_REPS", full ? 5 : 2);
@@ -104,7 +105,13 @@ Point summarize(std::vector<double> samples) {
 void runFigure(const std::string& figure, MachinePreset preset,
                const std::vector<std::string>& apps,
                const std::vector<Variant>& variants) {
-  const SweepConfig cfg = resolveSweepConfig(preset);
+  SweepConfig cfg;
+  try {
+    cfg = resolveSweepConfig(preset);
+  } catch (const std::out_of_range& e) {  // envThreads' limit
+    std::fprintf(stderr, "%s: %s\n", figure.c_str(), e.what());
+    std::exit(2);
+  }
   char capped[96] = "";
   if (cfg.uncappedThreads != 0) {
     std::snprintf(capped, sizeof(capped),

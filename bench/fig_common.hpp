@@ -28,8 +28,9 @@ const std::vector<Variant>& ablationVariants();
 const std::vector<Variant>& runtimeComparisonVariants();
 
 /// Sweep parameters resolved from the environment:
-///   ATS_THREADS  worker threads   (default: 4 quick / preset count full,
-///                capped at the CPUs this process may run on)
+///   ATS_THREADS  worker threads   (unset or 0: 4 quick / preset count
+///                full, capped at the CPUs this process may run on;
+///                at most kMaxEnvThreads, see common/env.hpp)
 ///   ATS_FULL     full paper-sized sweep (default: quick)
 ///   ATS_REPS     repetitions      (default: 2 quick / 5 full)
 ///   ATS_TRACE_DIR where fig10/fig11 write trace files (default: ".")

@@ -1,14 +1,13 @@
-// The NUMA-locality hot-path claims, measured at the two layers the
-// domain sharding touches:
+// NUMA-shaped hot paths:
 //
-//  * AddBufferSet drain: a flat everything-pass over 128+1 Rome rings
-//    vs a drainDomain pass over the 16 rings that actually hold work —
-//    the cache-line-touch reduction the shards exist for
+//  * AddBufferSet drain: one pass over 128+1 Rome rings when only one
+//    domain's 16 producers published work — what a refill costs on a
+//    wide machine whose other rings are empty
 //  * pool depot churn with every thread on one shared shard vs each
 //    thread bound to its own domain shard — the depot-lock contention
 //    curve from 1 to 8 threads
 //
-// Both pairs keep their shape on any host, one core included.
+// Both keep their shape on any host, one core included.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -23,17 +22,14 @@ namespace {
 
 using namespace ats;
 
-// ------------------------------------------------ add-buffer drain pair
+// ----------------------------------------------------- add-buffer drain
 //
-// Producers live on domain 0 only (the batched serve's common case: a
-// waiter group's whole domain published work, the other 7 domains'
-// rings are empty).  The flat drain still walks all 129 Rome slots;
-// drainDomain walks the 16 (+ the folded spawner slot) that can hold
-// anything.
+// Producers live on domain 0 only; the other 7 domains' rings are
+// empty, and the drain still walks all 129 Rome slots.
 
 constexpr std::size_t kDrainFill = 256;
 
-void drainPair(benchmark::State& state, bool sharded) {
+void BM_AddBufferDrainFlat(benchmark::State& state) {
   const Topology topo = makeTopology(MachinePreset::Rome);  // 128c / 8d
   AddBufferSet buffers(topo, 64);
   FifoPolicy sink;
@@ -47,9 +43,7 @@ void drainPair(benchmark::State& state, bool sharded) {
           buffers.tryPush(&pool[i], i % topo.cpusPerDomain()));
     }
     state.ResumeTiming();
-    const std::size_t drained = sharded ? buffers.drainDomain(sink, 0)
-                                        : buffers.drainInto(sink);
-    benchmark::DoNotOptimize(drained);
+    benchmark::DoNotOptimize(buffers.drain(sink));
     state.PauseTiming();
     while ((out = sink.getTask(0)) != nullptr) benchmark::DoNotOptimize(out);
     state.ResumeTiming();
@@ -57,16 +51,7 @@ void drainPair(benchmark::State& state, bool sharded) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kDrainFill));
 }
-
-void BM_AddBufferDrainFlat(benchmark::State& state) {
-  drainPair(state, /*sharded=*/false);
-}
 BENCHMARK(BM_AddBufferDrainFlat);
-
-void BM_AddBufferDrainOwnDomain(benchmark::State& state) {
-  drainPair(state, /*sharded=*/true);
-}
-BENCHMARK(BM_AddBufferDrainOwnDomain);
 
 // ------------------------------------------------- depot contention pair
 //

@@ -87,9 +87,8 @@ int selftest() {
   tracer.emit(0, TraceEvent::WorkerIdleEnd);
   tracer.emit(0, TraceEvent::TaskStart, 0x1000);
   tracer.emit(tracer.kernelStream(), TraceEvent::KernelIrqEnter, 0);
-  // v3 payload: one own-domain + one cross-domain hand-off packed into
-  // a single SchedServe (trace_event.hpp's packServePayload).
-  tracer.emit(1, TraceEvent::SchedServe, packServePayload(1, 1));
+  // One batched serve that handed off two tasks.
+  tracer.emit(1, TraceEvent::SchedServe, 2);
   tracer.emit(tracer.kernelStream(), TraceEvent::KernelIrqExit, 0);
   tracer.emit(0, TraceEvent::TaskEnd, 0x1000);
   tracer.emit(1, TraceEvent::SchedSteal, 0);  // payload: victim slot
@@ -120,16 +119,15 @@ int selftest() {
     return 1;
   }
 
-  // The analyzer must unpack the v3 serve payload from the re-read
-  // records: 1 local + 1 remote hand-off, a 50% cross-domain fraction.
+  // The analyzer must read the serve payload back from the re-read
+  // records as a hand-off count: one serve, two tasks.
   const TraceAnalysis analysis = analyzeTrace(reread, 2);
-  if (analysis.servedTasksLocal != 1 || analysis.servedTasksRemote != 1 ||
-      analysis.servedTasks != 2) {
+  if (analysis.serveCount != 1 || analysis.servedTasks != 2) {
     std::fprintf(stderr,
-                 "selftest: serve payload unpack mismatch "
-                 "(local=%llu remote=%llu)\n",
-                 static_cast<unsigned long long>(analysis.servedTasksLocal),
-                 static_cast<unsigned long long>(analysis.servedTasksRemote));
+                 "selftest: serve payload mismatch (serves=%llu "
+                 "served_tasks=%llu)\n",
+                 static_cast<unsigned long long>(analysis.serveCount),
+                 static_cast<unsigned long long>(analysis.servedTasks));
     return 1;
   }
 

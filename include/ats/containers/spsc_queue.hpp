@@ -71,9 +71,9 @@ class SpscQueue {
   }
 
   /// Bounded consumeAll: drain at most `maxN` published values, FIFO,
-  /// still one index update at the end.  The per-domain burst drains use
-  /// this to cap how much work one lock hold performs; what stays behind
-  /// remains published for the next drain.  Returns the drained count;
+  /// still one index update at the end.  The scheduler's capped drains
+  /// use this to bound how much work one lock hold performs; what stays
+  /// behind remains published for the next drain.  Returns the drained count;
   /// like consumeAll, writes nothing when the ring is empty.
   template <typename F>
   std::size_t consumeN(std::size_t maxN, F&& fn) {

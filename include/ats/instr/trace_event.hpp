@@ -13,7 +13,7 @@ namespace ats {
 enum class TraceEvent : std::uint16_t {
   TaskStart = 1,       ///< payload: task descriptor address
   TaskEnd = 2,         ///< payload: task descriptor address
-  SchedServe = 3,      ///< lock holder answered delegated waiters; payload: packed local/remote hand-off counts (packServePayload below), one event per served batch.  Format v3 — v2 stored one flat count.
+  SchedServe = 3,      ///< lock holder answered delegated waiters; payload: tasks handed off, one event per served batch.  Format v5 — v3/v4 packed a local/remote split.
   SchedDrain = 4,      ///< add-buffers drained into the policy; payload: tasks moved
   SchedLockContended = 5,  ///< an ADD found the central lock busy; payload: CPU
   WorkerIdleBegin = 6,     ///< first empty poll of an idle streak
@@ -43,23 +43,6 @@ constexpr const char* eventName(TraceEvent event) {
     case TraceEvent::GraphCancelled: return "GraphCancelled";
   }
   return "Unknown";
-}
-
-/// SchedServe payload packing (trace format v3).  Low 32 bits: hand-offs
-/// pulled with the served waiter's own-domain locality view ("local");
-/// high 32 bits: hand-offs that crossed NUMA domains ("remote" — the
-/// flat-refill leftovers a holder answers from its own view).  Burst
-/// counts are bounded by the serve burst (≤64), so 32 bits each is
-/// beyond generous.
-constexpr std::uint64_t packServePayload(std::uint64_t local,
-                                         std::uint64_t remote) {
-  return (remote << 32) | (local & 0xffffffffu);
-}
-constexpr std::uint64_t serveLocalCount(std::uint64_t payload) {
-  return payload & 0xffffffffu;
-}
-constexpr std::uint64_t serveRemoteCount(std::uint64_t payload) {
-  return payload >> 32;
 }
 
 /// One trace point, 24 bytes fixed — the record size is part of the

@@ -19,17 +19,20 @@ namespace ats {
 struct TraceWriter {
   static constexpr char kMagic[8] = {'A', 'T', 'S', 'T', 'R', 'C', '1', 0};
   /// v2: SchedServe payload became "tasks handed off in the burst"
-  /// (was: waiter CPU).  v3: that count split into the packed
-  /// local/remote hand-off pair (trace_event.hpp's packServePayload).
+  /// (was: waiter CPU).  v3: that count split into a packed
+  /// local/remote hand-off pair (low/high 32 bits).
   /// v4: the failure-domain events (TaskFailed/TaskSkipped/
   /// GraphCancelled) — and with them a semantic change to existing
   /// records: a TaskStart may now be closed by TaskFailed instead of
   /// TaskEnd, so a v3 reader's TaskStart/End pairing (and every busy/
   /// conservation statistic built on it) silently undercounts failed
-  /// runs.  The record layout is unchanged each time, but stale
-  /// readers would skew analyzer sums silently, so the version gate
-  /// makes old traces fail loudly instead.
-  static constexpr std::uint32_t kVersion = 4;
+  /// runs.  v5: SchedServe's payload is one flat count of tasks
+  /// handed off again — the serve answers each waiter in its own view,
+  /// so there is no local/remote split to pack.  The record layout is
+  /// unchanged each time, but stale readers would skew analyzer sums
+  /// silently, so the version gate makes old traces fail loudly
+  /// instead.
+  static constexpr std::uint32_t kVersion = 5;
 
   /// Fixed 24-byte file header preceding the record array.
   struct BinaryHeader {
@@ -46,7 +49,7 @@ struct TraceWriter {
                           const std::vector<TraceRecord>& records);
 
   /// Read a writeBinary file back.  False (and `out` untouched) when
-  /// the file is missing, truncated, or not a version-1 ats trace.
+  /// the file is missing, truncated, or not a kVersion ats trace.
   static bool readBinary(const std::string& path,
                          std::vector<TraceRecord>& out);
 

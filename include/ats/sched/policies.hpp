@@ -30,16 +30,6 @@ class FifoPolicy final : public SchedulerPolicy {
     return task;
   }
 
-  std::size_t getTasks(Task** out, std::size_t n,
-                       std::size_t /*cpu*/) override {
-    const std::size_t got = n < ready_.size() ? n : ready_.size();
-    for (std::size_t i = 0; i < got; ++i) {
-      out[i] = ready_.front();
-      ready_.pop_front();
-    }
-    return got;
-  }
-
   bool hasTasks() override { return !ready_.empty(); }
 
   const char* policyName() const override { return "fifo"; }
@@ -63,16 +53,6 @@ class LifoPolicy final : public SchedulerPolicy {
     Task* task = ready_.back();
     ready_.pop_back();
     return task;
-  }
-
-  std::size_t getTasks(Task** out, std::size_t n,
-                       std::size_t /*cpu*/) override {
-    const std::size_t got = n < ready_.size() ? n : ready_.size();
-    for (std::size_t i = 0; i < got; ++i) {
-      out[i] = ready_.back();
-      ready_.pop_back();
-    }
-    return got;
   }
 
   bool hasTasks() override { return !ready_.empty(); }
@@ -128,20 +108,6 @@ class NumaFifoPolicy final : public SchedulerPolicy {
       }
     }
     return nullptr;
-  }
-
-  std::size_t getTasks(Task** out, std::size_t n, std::size_t cpu) override {
-    const std::size_t home = domainOf(cpu);
-    std::size_t got = 0;
-    for (std::size_t i = 0; i < domainCount_ && got < n; ++i) {
-      Domain& domain = domains_[(home + i) % domainCount_];
-      std::lock_guard<SpinLock> guard(domain.lock);
-      while (got < n && !domain.queue.empty()) {
-        out[got++] = domain.queue.front();
-        domain.queue.pop_front();
-      }
-    }
-    return got;
   }
 
   bool hasTasks() override {

@@ -45,7 +45,7 @@ class Scheduler {
   /// The one way drains are traced, shared by every buffered scheduler
   /// so the event's semantics (caller's stream, payload = tasks moved,
   /// silent when nothing moved) cannot drift per call site.  Feed it
-  /// `drainInto`'s return value: `emitDrain(cpu, buffers.drainInto(p))`.
+  /// `drain`'s return value: `emitDrain(cpu, buffers.drain(p))`.
   void emitDrain(std::size_t cpu, std::size_t drained) {
     if (tracer_ != nullptr && drained != 0)
       tracer_->emit(cpu, TraceEvent::SchedDrain, drained);
@@ -65,22 +65,6 @@ class SchedulerPolicy {
 
   virtual void addTask(Task* task, std::size_t cpu) = 0;
   virtual Task* getTask(std::size_t cpu) = 0;
-
-  /// Pull up to `n` tasks into `out` in one pass — the bulk form the
-  /// batched delegation serve uses, so a combining burst costs the
-  /// policy one call instead of one virtual dispatch per waiter.
-  /// Returns how many were delivered (< n means the queue ran dry).
-  /// The default loops over getTask; policies override with real bulk
-  /// pops.  Same ordering contract as repeated getTask(cpu) calls.
-  virtual std::size_t getTasks(Task** out, std::size_t n, std::size_t cpu) {
-    std::size_t got = 0;
-    while (got < n) {
-      Task* task = getTask(cpu);
-      if (task == nullptr) break;
-      out[got++] = task;
-    }
-    return got;
-  }
 
   /// Whether any task is queued.  The buffered schedulers ask once per
   /// lock hold, so idle getters can skip the lock (AddBufferSet::

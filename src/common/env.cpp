@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
 namespace ats {
 
@@ -24,6 +25,17 @@ std::size_t envSize(const char* name, std::size_t fallback) {
   const unsigned long long parsed = std::strtoull(v, &end, 10);
   if (end == v || *end != '\0' || errno == ERANGE) return fallback;
   return static_cast<std::size_t>(parsed);
+}
+
+std::size_t envThreads(std::size_t fallback) {
+  const std::size_t threads = envSize("ATS_THREADS", 0);
+  if (threads == 0) return fallback;
+  if (threads > kMaxEnvThreads) {
+    throw std::out_of_range("ATS_THREADS=" + std::to_string(threads) +
+                            " is above the limit of " +
+                            std::to_string(kMaxEnvThreads) + " workers");
+  }
+  return threads;
 }
 
 std::string envString(const char* name, const std::string& fallback) {

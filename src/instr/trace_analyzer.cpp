@@ -142,9 +142,7 @@ TraceAnalysis analyzeTrace(const std::vector<TraceRecord>& records,
     switch (r.event) {
       case TraceEvent::SchedServe:
         ++analysis.serveCount;
-        // v3 payload: packed local/remote hand-off counts.
-        analysis.servedTasksLocal += serveLocalCount(r.payload);
-        analysis.servedTasksRemote += serveRemoteCount(r.payload);
+        analysis.servedTasks += r.payload;
         serveTimes.push_back(r.timeNs);
         break;
       case TraceEvent::SchedDrain:
@@ -176,13 +174,6 @@ TraceAnalysis analyzeTrace(const std::vector<TraceRecord>& records,
       default:
         break;
     }
-  }
-  analysis.servedTasks =
-      analysis.servedTasksLocal + analysis.servedTasksRemote;
-  if (analysis.servedTasks > 0) {
-    analysis.crossServeRatio =
-        static_cast<double>(analysis.servedTasksRemote) /
-        static_cast<double>(analysis.servedTasks);
   }
   if (analysis.taskStartCount > 0) {
     analysis.stealRatio = static_cast<double>(analysis.stealCount) /
@@ -256,23 +247,19 @@ std::string formatAnalysis(const TraceAnalysis& analysis) {
     text += line;
   }
   std::snprintf(line, sizeof(line),
-                "  serves=%llu served_tasks=%llu (local=%llu remote=%llu) "
+                "  serves=%llu served_tasks=%llu "
                 "drains=%llu drained_tasks=%llu contended=%llu\n",
                 static_cast<unsigned long long>(analysis.serveCount),
                 static_cast<unsigned long long>(analysis.servedTasks),
-                static_cast<unsigned long long>(analysis.servedTasksLocal),
-                static_cast<unsigned long long>(analysis.servedTasksRemote),
                 static_cast<unsigned long long>(analysis.drainCount),
                 static_cast<unsigned long long>(analysis.drainedTasks),
                 static_cast<unsigned long long>(analysis.contendedCount));
   text += line;
   std::snprintf(line, sizeof(line),
-                "  steals=%llu task_starts=%llu steal_ratio=%.1f%% "
-                "cross_serve=%.1f%%\n",
+                "  steals=%llu task_starts=%llu steal_ratio=%.1f%%\n",
                 static_cast<unsigned long long>(analysis.stealCount),
                 static_cast<unsigned long long>(analysis.taskStartCount),
-                100.0 * analysis.stealRatio,
-                100.0 * analysis.crossServeRatio);
+                100.0 * analysis.stealRatio);
   text += line;
   std::snprintf(line, sizeof(line),
                 "  failed=%llu skipped=%llu cancellations=%llu\n",

@@ -10,8 +10,8 @@
 namespace ats {
 
 namespace {
-/// Cap on the own-domain burst drain in getReadyTask, bounding work done
-/// per lock hold.
+/// Cap on the refill drain in getReadyTask, bounding work done per lock
+/// hold.
 constexpr std::size_t kLocalDrainBurst = 64;
 }  // namespace
 
@@ -22,10 +22,9 @@ PTLockScheduler::PTLockScheduler(Topology topo,
     // Waiting-array slots must cover every thread that can contend; size
     // for at least the topology and leave headroom for oversubscription.
     : Scheduler(tracer),
-      topo_(std::move(topo)),
-      lock_(std::max<std::size_t>(64, topo_.slotCount() * 2)),
+      lock_(std::max<std::size_t>(64, topo.slotCount() * 2)),
       policy_(std::move(policy)),
-      addBuffers_(topo_, spscCapacity) {}
+      addBuffers_(topo, spscCapacity) {}
 
 void PTLockScheduler::addReadyTask(Task* task, std::size_t cpu) {
   assert(cpu < addBuffers_.numCpus());
@@ -42,11 +41,7 @@ void PTLockScheduler::addReadyTask(Task* task, std::size_t cpu) {
     // fires once per retry poll while the ring stays full.
     ATS_FAILPOINT(addbuf_overflow);
     if (lock_.tryLock()) {
-      // Our own domain's shard is enough to empty the full ring; other
-      // domains' adds stay put until a getter goes dry (flat fallback
-      // below), keeping the overflow drain off remote cache lines.
-      emitDrain(cpu,
-                addBuffers_.drainDomain(*policy_, topo_.domainOfSlot(cpu)));
+      emitDrain(cpu, addBuffers_.drain(*policy_));
       policy_->addTask(task, cpu);
       addBuffers_.notePolicyState(*policy_);
       lock_.unlock();
@@ -72,16 +67,10 @@ Task* PTLockScheduler::getReadyTask(std::size_t cpu) {
   // and the starvation they cause is already visible as WorkerIdle*.
   // An idle poll only reads: nothing anywhere, so no tryLock RMW.
   if (addBuffers_.nothingReady() || !lock_.tryLock()) return nullptr;
-  // Getter's own-domain shard first (bounded): the sharded §3.1 drain.
-  // The flat everything-pass runs only when the policy is dry, so a
-  // domain with producers but no getters can never strand its adds.
-  emitDrain(cpu, addBuffers_.drainDomain(*policy_, topo_.domainOfSlot(cpu),
-                                         kLocalDrainBurst));
+  // Bounded refill: a drain that moved nothing found every ring empty,
+  // so one getTask after it is the whole answer.
+  emitDrain(cpu, addBuffers_.drain(*policy_, kLocalDrainBurst));
   Task* task = policy_->getTask(cpu);
-  if (task == nullptr) {
-    emitDrain(cpu, addBuffers_.drainInto(*policy_));
-    task = policy_->getTask(cpu);
-  }
   addBuffers_.notePolicyState(*policy_);
   lock_.unlock();
   return task;

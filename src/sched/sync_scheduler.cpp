@@ -14,11 +14,11 @@ SyncScheduler::SyncScheduler(Topology topo,
                              std::unique_ptr<SchedulerPolicy> policy,
                              std::size_t spscCapacity, Tracer* tracer)
     : Scheduler(tracer),
-      topo_(std::move(topo)),
-      lock_(std::max<std::size_t>(64, topo_.slotCount() * 2),
-            std::max<std::size_t>(64, topo_.slotCount())),
+      maxServes_(4 * topo.numCpus + 4),
+      lock_(std::max<std::size_t>(64, topo.slotCount() * 2),
+            std::max<std::size_t>(64, topo.slotCount())),
       policy_(std::move(policy)),
-      addBuffers_(topo_, spscCapacity) {}
+      addBuffers_(topo, spscCapacity) {}
 
 void SyncScheduler::addReadyTask(Task* task, std::size_t cpu) {
   assert(cpu < addBuffers_.numCpus());
@@ -34,12 +34,8 @@ void SyncScheduler::addReadyTask(Task* task, std::size_t cpu) {
   // throw here would lose the task (see DESIGN.md "Failure domains").
   ATS_FAILPOINT(addbuf_overflow);
   lock_.lock();
-  // The full ring is ours, and so is its whole domain shard: draining
-  // it (unbounded) empties our ring without pulling every other
-  // domain's cache lines through this core.  Other domains' adds keep
-  // riding their rings until a getter goes dry and runs the flat
-  // fallback in getReadyTask.
-  emitDrain(cpu, addBuffers_.drainDomain(*policy_, topo_.domainOfSlot(cpu)));
+  // Unbounded, so our full ring is emptied whatever its slot order.
+  emitDrain(cpu, addBuffers_.drain(*policy_));
   policy_->addTask(task, cpu);
   serveWaiters(cpu);
   addBuffers_.notePolicyState(*policy_);
@@ -54,18 +50,10 @@ Task* SyncScheduler::getReadyTask(std::size_t cpu) {
   if (!lock_.lockOrDelegate(cpu, item)) {
     return reinterpret_cast<Task*>(item);  // served by the lock holder
   }
-  // Own-domain shard first, bounded: the holder is its own first
-  // waiter, and a NUMA-aware policy will hand back what this drain
-  // just filed locally.  Only when the policy is dry after that does
-  // the flat pass run — the guarantee that a domain with producers but
-  // no getters still drains.
-  emitDrain(cpu, addBuffers_.drainDomain(*policy_, topo_.domainOfSlot(cpu),
-                                         kServeBurst));
+  // Bounded refill, then our own task.  A drain that moved nothing
+  // found every ring empty, so a null here means nothing was ready.
+  emitDrain(cpu, addBuffers_.drain(*policy_, kServeBurst));
   Task* task = policy_->getTask(cpu);
-  if (task == nullptr) {
-    emitDrain(cpu, addBuffers_.drainInto(*policy_));
-    task = policy_->getTask(cpu);
-  }
   serveWaiters(cpu);
   addBuffers_.notePolicyState(*policy_);
   lock_.unlock();
@@ -77,95 +65,41 @@ void SyncScheduler::serveWaiters(std::size_t cpu) {
   // the latency-injection drill for delegation fairness.  DTLock held —
   // throw mode is off-limits here.
   ATS_FAILPOINT(serve_batch);
-  // Each thread has at most one outstanding request, but a served waiter
-  // can requeue while we still hold the lock; cap the combining burst so
-  // the holder's own latency stays bounded.
-  const std::size_t maxServes = 4 * topo_.numCpus + 4;
   std::uint64_t waiterCpus[kServeBurst];
-  std::uint8_t waiterDomain[kServeBurst];
-  Task* tasks[kServeBurst];
   std::uintptr_t items[kServeBurst];
-  std::size_t groupIdx[kServeBurst];
-  const std::size_t holderDomain = topo_.domainOfSlot(cpu);
-  bool refilled = false;
+  // Refill on a miss: drain at most kServeBurst adds and retry.  A
+  // refill that moves nothing marks the rings dry for the rest of this
+  // hold, so waiters spinning idle get "nothing ready" without each of
+  // them re-draining every ring (DESIGN.md "Burst cap rationale").
+  bool ringsDry = false;
   std::size_t served = 0;
-  while (served < maxServes) {
-    const std::size_t want = std::min(kServeBurst, maxServes - served);
+  while (served < maxServes_) {
+    const std::size_t want = std::min(kServeBurst, maxServes_ - served);
     const std::size_t n = lock_.popWaiters(waiterCpus, want);
     if (n == 0) break;
-    std::uint64_t localGot = 0;
-    std::uint64_t remoteGot = 0;
-    std::size_t totalGot = 0;
-    // Group the popped batch by NUMA domain and make one bulk pull per
-    // group from the GROUP's own view, so a NUMA-aware policy hands each
-    // waiter its own domain's tasks.  Answers are assembled into `items`
-    // in pop order and still published behind ONE release fence (the
-    // single serveBatch below) — the grouping only changes which pull
-    // fills which slot, not the §8 publication protocol.
-    bool grouped[kServeBurst] = {};
+    std::size_t handed = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      items[i] = 0;
-      waiterDomain[i] = static_cast<std::uint8_t>(
-          topo_.domainOfSlot(static_cast<std::size_t>(waiterCpus[i])));
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (grouped[i]) continue;
-      const std::uint8_t domain = waiterDomain[i];
-      std::size_t m = 0;
-      for (std::size_t j = i; j < n; ++j) {
-        if (!grouped[j] && waiterDomain[j] == domain) {
-          grouped[j] = true;
-          groupIdx[m++] = j;
-        }
+      // Each waiter is answered in its own locality view, so a
+      // NUMA-aware policy serves it from its own domain first.
+      const auto waiterCpu = static_cast<std::size_t>(waiterCpus[i]);
+      Task* task = policy_->getTask(waiterCpu);
+      if (task == nullptr && !ringsDry) {
+        const std::size_t drained = addBuffers_.drain(*policy_, kServeBurst);
+        emitDrain(cpu, drained);
+        ringsDry = drained == 0;
+        task = policy_->getTask(waiterCpu);
       }
-      const std::size_t waiterView = static_cast<std::size_t>(waiterCpus[i]);
-      std::size_t got = policy_->getTasks(tasks, m, waiterView);
-      if (got < m) {
-        // Short for this group: drain the WAITERS' domain's shard
-        // (bounded, so one group cannot turn the hold into a drain
-        // loop) and retry before touching any other domain.
-        emitDrain(cpu, addBuffers_.drainDomain(*policy_, domain, kServeBurst));
-        got += policy_->getTasks(tasks + got, m - got, waiterView);
-      }
-      for (std::size_t k = 0; k < got; ++k) {
-        items[groupIdx[k]] = reinterpret_cast<std::uintptr_t>(tasks[k]);
-      }
-      localGot += got;  // pulled with the waiters' own locality view
-      totalGot += got;
-    }
-    if (totalGot < n && !refilled) {
-      // Some waiters still have no answer and their domains' shards are
-      // dry: one flat refill per burst, then one holder-view pull for
-      // the leftovers, gathered as one last group.  These are the
-      // potentially cross-domain hand-offs the trace payload records.
-      refilled = true;
-      emitDrain(cpu, addBuffers_.drainInto(*policy_));
-      std::size_t m = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (items[i] == 0) groupIdx[m++] = i;
-      }
-      const std::size_t got = policy_->getTasks(tasks, m, cpu);
-      for (std::size_t k = 0; k < got; ++k) {
-        const std::size_t i = groupIdx[k];
-        items[i] = reinterpret_cast<std::uintptr_t>(tasks[k]);
-        if (waiterDomain[i] == static_cast<std::uint8_t>(holderDomain)) {
-          ++localGot;
-        } else {
-          ++remoteGot;
-        }
-      }
-      totalGot += got;
+      items[i] = reinterpret_cast<std::uintptr_t>(task);
+      if (task != nullptr) ++handed;
     }
     lock_.serveBatch(waiterCpus, items, n);
-    // One coalesced SchedServe per batch, the local/remote hand-off
-    // split packed as payload — and only when something was actually
-    // handed off (idle waiters re-delegate continuously; see the
-    // Scheduler contract).
-    if (tracer_ != nullptr && totalGot != 0)
-      tracer_->emit(cpu, TraceEvent::SchedServe,
-                    packServePayload(localGot, remoteGot));
+    // One coalesced SchedServe per batch, payload = tasks handed off —
+    // and only when something was (idle waiters re-delegate
+    // continuously; see the Scheduler contract).
+    if (tracer_ != nullptr && handed != 0)
+      tracer_->emit(cpu, TraceEvent::SchedServe, handed);
     served += n;
-    if (totalGot < n) break;  // policy dry even after the one refill
+    if (handed < n) break;  // policy and rings both dry
   }
 }
 

@@ -254,11 +254,6 @@ TEST(TraceAnalyzerTest, ServeGapAndIrqCorrelationMath) {
   EXPECT_EQ(a.recordCount, 13u);
   EXPECT_EQ(a.serveCount, 3u);
   EXPECT_EQ(a.servedTasks, 2u);  // payloads 1 + 0 + 1 (hand-off counts)
-  // Legacy-shaped flat payloads are all-local under the v3 packing (the
-  // remote half of each payload is zero).
-  EXPECT_EQ(a.servedTasksLocal, 2u);
-  EXPECT_EQ(a.servedTasksRemote, 0u);
-  EXPECT_DOUBLE_EQ(a.crossServeRatio, 0.0);
   EXPECT_EQ(a.drainCount, 2u);
   EXPECT_EQ(a.drainedTasks, 7u);
   EXPECT_EQ(a.irqCount, 1u);
@@ -268,26 +263,21 @@ TEST(TraceAnalyzerTest, ServeGapAndIrqCorrelationMath) {
   EXPECT_DOUBLE_EQ(a.maxServeGapDuringIrqUs, 500.0);
 }
 
-TEST(TraceAnalyzerTest, UnpacksServeLocalityAndCrossServeRatio) {
+TEST(TraceAnalyzerTest, SumsServePayloadsAsHandOffCounts) {
   const auto us = [](std::uint64_t v) { return v * 1000; };
   std::vector<TraceRecord> r;
-  // Three batched serves with packed local/remote hand-off counts:
-  // (3 local, 1 remote), (0, 2), (2, 0) -> 5 local + 3 remote = 8.
-  r.push_back({us(0), packServePayload(3, 1), TraceEvent::SchedServe, 0, 0});
-  r.push_back({us(10), packServePayload(0, 2), TraceEvent::SchedServe, 1, 0});
-  r.push_back({us(20), packServePayload(2, 0), TraceEvent::SchedServe, 0, 0});
+  // Three batched serves handing off 4, 2 and 2 tasks, in two streams.
+  r.push_back({us(0), 4, TraceEvent::SchedServe, 0, 0});
+  r.push_back({us(10), 2, TraceEvent::SchedServe, 1, 0});
+  r.push_back({us(20), 2, TraceEvent::SchedServe, 0, 0});
 
   const TraceAnalysis a = analyzeTrace(r, 2);
   EXPECT_EQ(a.serveCount, 3u);
-  EXPECT_EQ(a.servedTasksLocal, 5u);
-  EXPECT_EQ(a.servedTasksRemote, 3u);
   EXPECT_EQ(a.servedTasks, 8u);
-  EXPECT_DOUBLE_EQ(a.crossServeRatio, 3.0 / 8.0);
 
   const std::string summary = formatAnalysis(a);
-  EXPECT_NE(summary.find("served_tasks=8 (local=5 remote=3)"),
+  EXPECT_NE(summary.find("serves=3 served_tasks=8 drains="),
             std::string::npos);
-  EXPECT_NE(summary.find("cross_serve=37.5%"), std::string::npos);
 }
 
 TEST(TraceAnalyzerTest, PerThreadIdleAndTaskAccounting) {

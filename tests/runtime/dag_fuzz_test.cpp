@@ -200,10 +200,16 @@ std::vector<std::uint64_t> fuzzSeeds() {
   return {1, 2, 3, 4, 5, 6};
 }
 
+/// NumaFifo runs on the Rome preset shrunk to 4 CPUs — four one-CPU
+/// domains — so its per-domain queues, the per-waiter serve view and
+/// the cross-domain fallback all face serial program order.  On the
+/// one-domain host shape it would be one global FIFO.
 RuntimeConfig fuzzConfig(DepsKind deps, SchedulerKind sched, bool usePool,
                          PolicyKind policy = PolicyKind::Fifo) {
-  RuntimeConfig config =
-      optimizedConfig(makeTopology(MachinePreset::Host, 4));
+  const MachinePreset preset = policy == PolicyKind::NumaFifo
+                                   ? MachinePreset::Rome
+                                   : MachinePreset::Host;
+  RuntimeConfig config = optimizedConfig(makeTopology(preset, 4));
   config.deps = deps;
   config.scheduler = sched;
   config.usePoolAllocator = usePool;

@@ -380,7 +380,7 @@ TEST_P(SchedTuningMatrixTest, InoutChainStaysStrictlyOrdered) {
 }
 
 /// The Rome preset (8 domains at full width, several at 8 workers)
-/// crossed with a plain-vs-NUMA policy, so the waiter-grouped serve keeps
+/// crossed with a plain-vs-NUMA policy, so the per-waiter serve keeps
 /// the conservation and ordering laws on a genuinely multi-domain map.
 class NumaMatrixTest : public ::testing::TestWithParam<Policy> {};
 
@@ -392,7 +392,7 @@ TEST_P(NumaMatrixTest, SpawnTaskwaitConservesEveryTaskExactlyOnce) {
   constexpr int kTasks = 2000;
   RuntimeConfig config = makeRomeConfig(8);
   config.policy = GetParam().kind;
-  // Small buffers so the domain-sharded overflow drain runs constantly.
+  // Small buffers so the overflow drain runs constantly.
   config.spscCapacity = 32;
   Runtime rt(config);
 
@@ -424,9 +424,9 @@ TEST_P(NumaMatrixTest, InoutChainStaysStrictlyOrdered) {
   config.policy = GetParam().kind;
   Runtime rt(config);
 
-  // Dependency order must survive the domain-grouped serve: a group
-  // being answered from its own domain's view must never let a link
-  // start before its predecessor's release publishes the chain.
+  // Dependency order must survive the per-waiter serve: a waiter
+  // answered from its own domain's view must never let a link start
+  // before its predecessor's release publishes the chain.
   long long counter = 0;
   std::vector<long long> observed(kLinks, -1);
   for (int i = 0; i < kLinks; ++i) {

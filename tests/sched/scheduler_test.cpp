@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.hpp"
 #include "runtime/task.hpp"
 
 namespace ats {
@@ -34,9 +35,9 @@ std::unique_ptr<Scheduler> makeByName(const std::string& which,
   if (which == "work_steal")
     return std::make_unique<WorkStealingScheduler>(topo, spscCapacity);
   // Rome-preset variants pin the multi-domain paths: `cpus` CPUs shrink
-  // the 8-domain preset to one CPU per domain, so every waiter group and
-  // add-buffer shard is its own domain and the NumaFifo policy's queues
-  // are maximally split.
+  // the 8-domain preset to one CPU per domain, so every waiter is served
+  // in its own domain's view and the NumaFifo policy's queues are
+  // maximally split.
   if (which == "sync_dtlock_rome") {
     const Topology rome = makeTopology(MachinePreset::Rome, cpus);
     return std::make_unique<SyncScheduler>(
@@ -172,43 +173,45 @@ TEST(SyncSchedulerTest, PerCpuBuffersDrainFromAnyGetter) {
   for (std::size_t i = 0; i < pool.size(); ++i) EXPECT_EQ(got[i], &pool[i]);
 }
 
-TEST(AddBufferSetTest, DomainDrainIsShardedAndBounded) {
+TEST(AddBufferSetTest, CappedDrainReachesEveryRing) {
   Topology topo;
   topo.numCpus = 4;
-  topo.numNumaDomains = 2;  // slots 0,1 -> domain 0; 2,3 -> domain 1
-  topo.reservedSlots = 1;   // slot 4 folds into domain 0's shard
+  topo.numNumaDomains = 2;
+  topo.reservedSlots = 1;  // slot 4: the Runtime's spawner ring
   AddBufferSet buffers(topo, 16);
   EXPECT_EQ(buffers.numCpus(), 5u);
-  EXPECT_EQ(buffers.numDomains(), 2u);
 
   FifoPolicy fifo;
-  std::vector<Task> pool(5);
+  std::vector<Task> pool(6);
   ASSERT_TRUE(buffers.tryPush(&pool[0], 0));
-  ASSERT_TRUE(buffers.tryPush(&pool[1], 1));
-  ASSERT_TRUE(buffers.tryPush(&pool[2], 4));  // reserved slot, domain 0
-  ASSERT_TRUE(buffers.tryPush(&pool[3], 2));
-  ASSERT_TRUE(buffers.tryPush(&pool[4], 3));
+  ASSERT_TRUE(buffers.tryPush(&pool[1], 0));
+  ASSERT_TRUE(buffers.tryPush(&pool[2], 2));
+  ASSERT_TRUE(buffers.tryPush(&pool[3], 3));
+  ASSERT_TRUE(buffers.tryPush(&pool[4], 4));  // reserved spawner slot
+  ASSERT_TRUE(buffers.tryPush(&pool[5], 4));
 
-  // Domain 0's drain covers slots 0, 1 and the folded spawner slot —
-  // and leaves domain 1's rings untouched.
-  EXPECT_EQ(buffers.drainDomain(fifo, 0), 3u);
-  // Bounded drain takes exactly the cap and leaves the rest published.
-  EXPECT_EQ(buffers.drainDomain(fifo, 1, 1), 1u);
-  EXPECT_EQ(buffers.drainDomain(fifo, 1), 1u);
-  EXPECT_EQ(buffers.drainInto(fifo), 0u);
+  // A capped drain moves exactly the cap, rings in slot order, each
+  // ring FIFO: this one stops inside the spawner's ring at the last
+  // slot, and what the cap left there stays published.
+  EXPECT_EQ(buffers.drain(fifo, 5), 5u);
+  EXPECT_FALSE(buffers.nothingReady());
+  EXPECT_EQ(buffers.drain(fifo, 4), 1u);
+  // A drain that moves nothing leaves every ring empty.
+  EXPECT_EQ(buffers.drain(fifo, 1), 0u);
+  buffers.notePolicyState(fifo);
+  EXPECT_FALSE(buffers.nothingReady());  // the policy still holds them
 
   std::vector<Task*> got;
   while (Task* t = fifo.getTask(0)) got.push_back(t);
   ASSERT_EQ(got.size(), pool.size());
-  std::sort(got.begin(), got.end());
   for (std::size_t i = 0; i < pool.size(); ++i) EXPECT_EQ(got[i], &pool[i]);
+  buffers.notePolicyState(fifo);
+  EXPECT_TRUE(buffers.nothingReady());
 }
 
-/// The starvation guarantee behind the domain-first drains: a domain
-/// with producers but NO getters must still drain.  The waiter-locality
-/// serve prefers the waiters' own shards, but when the policy runs dry
-/// the flat fallback reaches every ring, and NumaFifo's round-robin
-/// fallback then hands the tasks across domains.
+/// The no-stranding guarantee: a domain with producers but NO getters
+/// must still drain.  Every drain reaches every ring, and NumaFifo's
+/// round-robin fallback then hands the tasks across domains.
 TEST(SyncSchedulerTest, ProducerOnlyDomainStillDrainsCrossDomain) {
   Topology topo;
   topo.numCpus = 4;
@@ -219,6 +222,40 @@ TEST(SyncSchedulerTest, ProducerOnlyDomainStillDrainsCrossDomain) {
   // Only domain-1 CPUs ever ask; every domain-0 task must reach them,
   // in order (single producer, FIFO within its domain queue).
   for (auto& t : pool) ASSERT_EQ(sched.getReadyTask(2), &t);
+  EXPECT_EQ(sched.getReadyTask(3), nullptr);
+}
+
+/// The serve answers a delegated waiter in the WAITER's locality view:
+/// under NumaFifo a domain-1 waiter gets the domain-1 task even though
+/// the holder's own domain still has work.  The holder is parked inside
+/// its serve by the serve_batch delay failpoint so the waiter is sure to
+/// delegate; if it took the lock itself, its own getTask would give the
+/// same answer, so the check cannot fail spuriously.
+TEST(SyncSchedulerTest, DelegatedWaiterIsServedFromItsOwnDomain) {
+  Topology topo;
+  topo.numCpus = 4;
+  topo.numNumaDomains = 2;  // CPUs 0-1 -> domain 0; 2-3 -> domain 1
+  SyncScheduler sched(topo, std::make_unique<NumaFifoPolicy>(topo));
+  std::vector<Task> local(3);
+  Task remote;
+  for (auto& t : local) sched.addReadyTask(&t, 0);
+  sched.addReadyTask(&remote, 2);
+  // Move everything into the policy; local[1], local[2], remote stay.
+  ASSERT_EQ(sched.getReadyTask(0), &local[0]);
+
+  Failpoint& serve = FailpointRegistry::instance().site("serve_batch");
+  serve.resetCounters();
+  serve.arm(FailpointMode::DelayUs, 1.0, 1, 200000);
+  Task* holderGot = nullptr;
+  std::thread holder([&] { holderGot = sched.getReadyTask(0); });
+  while (serve.fires() == 0) std::this_thread::yield();
+  Task* waiterGot = sched.getReadyTask(2);
+  holder.join();
+  serve.disarm();
+
+  EXPECT_EQ(holderGot, &local[1]);
+  EXPECT_EQ(waiterGot, &remote);
+  EXPECT_EQ(sched.getReadyTask(1), &local[2]);
   EXPECT_EQ(sched.getReadyTask(3), nullptr);
 }
 
@@ -330,47 +367,6 @@ TEST(PolicyTest, LifoReturnsNewestFirst) {
   EXPECT_STREQ(lifo.policyName(), "lifo");
 }
 
-TEST(PolicyTest, BulkGetTasksMatchesRepeatedGetTask) {
-  // The bulk form must deliver the same multiset in the same order as
-  // N getTask calls — for the overriding policies AND the base-class
-  // default loop (exercised through a minimal adapter).
-  struct DefaultLoopFifo : SchedulerPolicy {
-    FifoPolicy inner;
-    void addTask(Task* t, std::size_t cpu) override { inner.addTask(t, cpu); }
-    Task* getTask(std::size_t cpu) override { return inner.getTask(cpu); }
-    bool hasTasks() override { return inner.hasTasks(); }
-    // getTasks NOT overridden: runs SchedulerPolicy's default loop.
-    const char* policyName() const override { return "default_loop"; }
-  };
-
-  std::vector<Task> pool(10);
-  const auto fill = [&](SchedulerPolicy& p) {
-    for (auto& t : pool) p.addTask(&t, 0);
-  };
-
-  FifoPolicy fifo;
-  LifoPolicy lifo;
-  NumaFifoPolicy numa(testTopo(4));
-  DefaultLoopFifo defaulted;
-  for (SchedulerPolicy* p :
-       {static_cast<SchedulerPolicy*>(&fifo),
-        static_cast<SchedulerPolicy*>(&lifo),
-        static_cast<SchedulerPolicy*>(&numa),
-        static_cast<SchedulerPolicy*>(&defaulted)}) {
-    fill(*p);
-    Task* out[16] = {};
-    // Ask for more than available: got reports the true count.
-    EXPECT_EQ(p->getTasks(out, 16, 0), pool.size()) << p->policyName();
-    std::vector<Task*> bulk(out, out + pool.size());
-
-    fill(*p);
-    std::vector<Task*> oneByOne;
-    while (Task* t = p->getTask(0)) oneByOne.push_back(t);
-    EXPECT_EQ(bulk, oneByOne) << p->policyName();
-    EXPECT_EQ(p->getTasks(out, 4, 0), 0u) << p->policyName();
-  }
-}
-
 TEST(PolicyTest, NumaFifoPrefersLocalDomainThenFallsBack) {
   // Rome-shaped 8-CPU topology: 8 domains collapse to min(8, ...) per
   // makeTopology; build an explicit 2-domain shape instead so the
@@ -406,14 +402,10 @@ TEST(PolicyTest, NumaFifoConservesAcrossDomainsExactlyOnce) {
     numa.addTask(&pool[i], i % topo.numCpus);
   }
   std::vector<Task*> all;
-  // Mix single and bulk pulls from rotating CPUs.
-  Task* out[8];
+  // Pull from rotating CPUs, each in its own locality view.
   std::size_t cpu = 0;
-  for (;;) {
-    const std::size_t got = numa.getTasks(out, 3, cpu);
-    all.insert(all.end(), out, out + got);
-    if (Task* t = numa.getTask(cpu)) all.push_back(t);
-    else if (got == 0) break;
+  while (Task* t = numa.getTask(cpu)) {
+    all.push_back(t);
     cpu = (cpu + 5) % topo.numCpus;
   }
   ASSERT_EQ(all.size(), pool.size());
@@ -443,8 +435,8 @@ TEST(PolicyTest, NumaFifoConcurrentAddGetConservesWithoutOuterLock) {
   std::vector<std::thread> threads;
   for (std::size_t p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
-      // Producer p feeds domain p through CPU 2p; single and bulk adds
-      // land interleaved with every consumer's pulls.
+      // Producer p feeds domain p through CPU 2p; its adds land
+      // interleaved with every consumer's pulls.
       for (std::size_t i = 0; i < kPerProducer; ++i) {
         numa.addTask(&pool[p * kPerProducer + i], 2 * p);
       }
@@ -456,16 +448,11 @@ TEST(PolicyTest, NumaFifoConcurrentAddGetConservesWithoutOuterLock) {
       // Consumer c is homed on domain c (CPU 2c+1) but drains remote
       // domains too once its own runs dry — the cross-domain fallback
       // path under real concurrency.
-      Task* out[8];  // 7 bulk + 1 single per round
       while (consumed.load(std::memory_order_relaxed) < pool.size()) {
-        std::size_t got = numa.getTasks(out, 7, 2 * c + 1);
-        if (Task* t = numa.getTask(2 * c + 1)) out[got++] = t;
-        for (std::size_t i = 0; i < got; ++i) {
-          const auto index = static_cast<std::size_t>(out[i] - pool.data());
+        if (Task* t = numa.getTask(2 * c + 1)) {
+          const auto index = static_cast<std::size_t>(t - pool.data());
           popped[index].fetch_add(1, std::memory_order_relaxed);
-        }
-        if (got != 0) {
-          consumed.fetch_add(got, std::memory_order_relaxed);
+          consumed.fetch_add(1, std::memory_order_relaxed);
         } else if (producersLive.load(std::memory_order_acquire) == 0 &&
                    consumed.load(std::memory_order_relaxed) == pool.size()) {
           break;
